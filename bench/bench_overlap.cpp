@@ -43,7 +43,6 @@
 #include "parallel/ssgd.h"
 #include "swdnn/layer_estimate.h"
 #include "topo/compress.h"
-#include "topo/hierarchical.h"
 #include "topo/overlap.h"
 #include "trace/chrome_trace.h"
 #include "trace/tracer.h"
@@ -214,14 +213,16 @@ int main(int argc, char** argv) {
 
     struct HierCfg {
       const char* label;
-      bool hierarchical;
+      topo::AllreduceAlgo algo;
       topo::Compression codec;
     };
+    constexpr topo::AllreduceAlgo kFlat = topo::AllreduceAlgo::kRhdRoundRobin;
+    constexpr topo::AllreduceAlgo kHier = topo::AllreduceAlgo::kHierarchical;
     const HierCfg cfgs[] = {
-        {"flat", false, topo::Compression::kNone},
-        {"hier", true, topo::Compression::kNone},
-        {"hier_fp16", true, topo::Compression::kFp16},
-        {"hier_int8", true, topo::Compression::kInt8},
+        {"flat", kFlat, topo::Compression::kNone},
+        {"hier", kHier, topo::Compression::kNone},
+        {"hier_fp16", kHier, topo::Compression::kFp16},
+        {"hier_int8", kHier, topo::Compression::kInt8},
     };
     const std::vector<int> big_nodes = {4, 16, 64, 256, 1024, 4096, 40960};
     constexpr int kHierGateNodes = 1024;
@@ -249,13 +250,7 @@ int main(int argc, char** argv) {
       double int8_eff = 0.0;
       for (const auto& cfg : cfgs) {
         const auto bucket_cost = [&](std::int64_t b) {
-          return topo::cost_compressed(
-              cfg.codec, b, opt.net, [&](std::int64_t wire) {
-                return cfg.hierarchical
-                           ? topo::cost_hierarchical(wire, topo, opt.net)
-                           : topo::cost_rhd(wire, topo, opt.net,
-                                            topo::Placement::kRoundRobin);
-              });
+          return topo::allreduce_cost(cfg.algo, cfg.codec, b, topo, opt.net);
         };
         tune::BucketTuneOptions bopts;
         bopts.eager_limit = opt.net.eager_limit;
@@ -325,14 +320,15 @@ int main(int argc, char** argv) {
         tune::tune_comm(tl.bwd_s, tl.total_s, layer_bytes, 40960, copts);
     std::printf("\nswtune @40960 nodes: %s + %s, %d buckets "
                 "(%.3fs vs %.3fs baseline, %zu candidates)\n",
-                cc.algorithm.c_str(), topo::compression_name(cc.compression),
+                topo::allreduce_algo_name(cc.algorithm),
+                topo::compression_name(cc.compression),
                 cc.buckets, cc.overlapped_s, cc.baseline_s,
                 cc.candidates.size());
     json.metric("tune_comm_40960_overlap_s", cc.overlapped_s);
     json.metric("tune_comm_40960_baseline_s", cc.baseline_s);
     json.metric("tune_comm_40960_buckets", cc.buckets);
     json.metric("tune_comm_40960_is_hier",
-                cc.algorithm == "hierarchical" ? 1.0 : 0.0);
+                cc.algorithm == kHier ? 1.0 : 0.0);
   }
 
   json.metric("section_hier_wall_s", now_s() - section_t0);

@@ -8,8 +8,9 @@
 // (parallel::scalability_sweep): every (series, node-count) point is pure
 // pricing fanned over host worker threads — no replica tensors exist at any
 // node count. Gates (CI perf-smoke):
-//  * a sampled subset re-priced on the per-series scalability_curve slow
-//    path must match the sweep bitwise (fast path == slow path, by byte);
+//  * three sampled series re-priced one at a time as serial single-series
+//    sweeps must match the threaded full sweep bitwise (a race or state
+//    leaking across series in the batched sweep shows up as a mismatch);
 //  * the sweep's own wall clock must stay under a hard budget — the
 //    simulator perf-smoke gate (the point of the fast path is that the
 //    full-machine sweep takes seconds, not minutes).
@@ -111,7 +112,7 @@ int main(int argc, char** argv) {
     s.label = std::string(e.name) + " hier+int8";
     s.descs_per_cg = e.descs;
     s.param_bytes = e.param_bytes;
-    s.options.algo = parallel::AllreduceAlgo::kHierarchical;
+    s.options.algo = topo::AllreduceAlgo::kHierarchical;
     s.options.compression = topo::Compression::kInt8;
     s.options.buckets = 8;
     s.node_counts = machine;
@@ -228,45 +229,49 @@ int main(int argc, char** argv) {
               "(AlexNet B=256) ===\n");
   {
     TablePrinter t({"all-reduce", "comm/iter", "speedup"});
-    for (auto algo : {parallel::AllreduceAlgo::kRhdRoundRobin,
-                      parallel::AllreduceAlgo::kRhdAdjacent,
-                      parallel::AllreduceAlgo::kRing,
-                      parallel::AllreduceAlgo::kParamServer}) {
-      parallel::SsgdOptions o;
-      o.algo = algo;
-      const auto c = parallel::scalability_curve(
-          cost, fixtures::alexnet_per_cg_descs(),
-          fixtures::kAlexNetGradientBytes, o, {1024});
-      t.add_row({parallel::allreduce_algo_name(algo),
-                 base::format_seconds(c[0].comm_s), fmt(c[0].speedup, 1) + "x"});
+    for (auto algo : {topo::AllreduceAlgo::kRhdRoundRobin,
+                      topo::AllreduceAlgo::kRhdAdjacent,
+                      topo::AllreduceAlgo::kRing,
+                      topo::AllreduceAlgo::kParamServer}) {
+      parallel::SweepSeries s;
+      s.label = topo::allreduce_algo_name(algo);
+      s.descs_per_cg = fixtures::alexnet_per_cg_descs();
+      s.param_bytes = fixtures::kAlexNetGradientBytes;
+      s.options.algo = algo;
+      s.node_counts = {1024};
+      const parallel::ScalePoint pt =
+          parallel::scalability_sweep(cost, {s}, 1)[0].points[0];
+      t.add_row({s.label, base::format_seconds(pt.comm_s),
+                 fmt(pt.speedup, 1) + "x"});
     }
     t.print(std::cout);
   }
 
-  // --- Gate: sampled slow-path cross-check ---------------------------------
-  // Re-price a sampled subset on scalability_curve (the serial per-series
-  // slow path) and require byte-for-byte equality with the sweep. The fast
-  // path is only allowed to be fast, never different.
+  // --- Gate: sampled single-series cross-check ----------------------------
+  // Re-price three sampled series one at a time, each as a serial
+  // single-series sweep, and require byte-for-byte equality with the
+  // threaded full sweep: batching series and fanning points over threads is
+  // only allowed to be fast, never different.
   {
     int checked = 0, mismatched = 0;
     for (const auto& s : {sweep[0], sweep[5], sweep.back()}) {
-      const std::vector<parallel::ScalePoint> slow = parallel::scalability_curve(
-          cost, s.descs_per_cg, s.param_bytes, s.options, s.node_counts);
-      const std::vector<parallel::ScalePoint>& fast = points(s.label);
-      for (std::size_t i = 0; i < slow.size(); ++i) {
+      const std::vector<parallel::ScalePoint> serial =
+          parallel::scalability_sweep(cost, {s}, 1)[0].points;
+      const std::vector<parallel::ScalePoint>& full = points(s.label);
+      for (std::size_t i = 0; i < serial.size(); ++i) {
         ++checked;
-        if (!same_point(slow[i], fast[i])) {
+        if (!same_point(serial[i], full[i])) {
           std::fprintf(stderr,
-                       "GATE FAILED: '%s' at %d nodes: sweep fast path "
-                       "diverged from scalability_curve\n",
-                       s.label.c_str(), slow[i].nodes);
+                       "GATE FAILED: '%s' at %d nodes: the threaded full "
+                       "sweep diverged from the serial single-series sweep\n",
+                       s.label.c_str(), serial[i].nodes);
           ++mismatched;
           gate_ok = false;
         }
       }
     }
-    std::printf("\ncross-check: %d sampled points re-priced on the slow "
-                "path, %d mismatches\n", checked, mismatched);
+    std::printf("\ncross-check: %d sampled points re-priced as serial "
+                "single-series sweeps, %d mismatches\n", checked, mismatched);
     json.metric("crosscheck_points", checked);
     json.metric("crosscheck_mismatches", mismatched);
   }

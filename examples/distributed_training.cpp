@@ -56,10 +56,10 @@ int main() {
   std::printf("=== SSGD on %d simulated nodes (2 supernodes of 4), global "
               "batch %d ===\n\n",
               nodes, nodes * sub_batch);
-  for (auto algo : {parallel::AllreduceAlgo::kRhdRoundRobin,
-                    parallel::AllreduceAlgo::kRhdAdjacent,
-                    parallel::AllreduceAlgo::kRing,
-                    parallel::AllreduceAlgo::kParamServer}) {
+  for (auto algo : {topo::AllreduceAlgo::kRhdRoundRobin,
+                    topo::AllreduceAlgo::kRhdAdjacent,
+                    topo::AllreduceAlgo::kRing,
+                    topo::AllreduceAlgo::kParamServer}) {
     parallel::SsgdOptions opt;
     opt.algo = algo;
     opt.supernode_size = 4;
@@ -86,7 +86,7 @@ int main() {
     }
     const auto& c = trainer.last_comm();
     std::printf("%-16s loss %.3f -> %.3f | replicas in sync: %s\n",
-                parallel::allreduce_algo_name(algo), first, last,
+                topo::allreduce_algo_name(algo), first, last,
                 in_sync ? "yes" : "NO");
     std::printf("                 per-iter comm: %s  (alpha terms %d, "
                 "intra bytes %.2fn, cross bytes %.2fn)\n",

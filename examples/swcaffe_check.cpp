@@ -520,8 +520,10 @@ int main(int argc, char** argv) {
   for (const NamedConfig& config : configs) {
     check::Report report = check::verify_net(cost, config.descs, opts);
     if (nodes > 0) {
-      report.merge(check::verify_allreduce("rhd", nodes, opts));
-      report.merge(check::verify_allreduce("ring", nodes, opts));
+      report.merge(check::verify_allreduce(
+          topo::AllreduceAlgo::kRhdRoundRobin, nodes, opts));
+      report.merge(
+          check::verify_allreduce(topo::AllreduceAlgo::kRing, nodes, opts));
     }
     errors += report.error_count();
     warnings += report.warning_count();

@@ -56,7 +56,7 @@
 #include "parallel/ssgd.h"
 #include "parallel/sweep.h"
 #include "swdnn/layer_estimate.h"
-#include "topo/hierarchical.h"
+#include "topo/compress.h"
 #include "trace/chrome_trace.h"
 #include "trace/report.h"
 #include "trace/tracer.h"
@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
   int replicas = 8;
   int nodes = 0;
   bool sweep = false;
-  parallel::AllreduceAlgo algo = parallel::AllreduceAlgo::kRhdRoundRobin;
+  topo::AllreduceAlgo algo = topo::AllreduceAlgo::kRhdRoundRobin;
   topo::Compression compress = topo::Compression::kNone;
 
   int positional = 0;
@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
     } else if (flag_value(argc, argv, i, "--nodes", v)) {
       nodes = std::atoi(v.c_str());
     } else if (flag_value(argc, argv, i, "--algo", v)) {
-      if (!parallel::allreduce_algo_from_name(v.c_str(), &algo)) {
+      if (!topo::allreduce_algo_from_name(v.c_str(), &algo)) {
         std::fprintf(stderr,
                      "unknown --algo '%s' (rhd-adjacent, rhd-round-robin, "
                      "hierarchical, ring, param-server)\n",
@@ -367,7 +367,7 @@ int main(int argc, char** argv) {
     // millions of events — legality is the same either way.
     check::CommPlan cplan;
     cplan.name = "swcaffe-time-comm";
-    cplan.algorithm = parallel::allreduce_algo_name(algo);
+    cplan.algorithm = topo::allreduce_algo_name(algo);
     cplan.compression = topo::compression_name(compress);
     cplan.num_nodes = nodes;
     cplan.supernode_size = topo.supernode_size;
@@ -380,25 +380,10 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    const topo::Placement placement = parallel::placement_for(algo);
-    const topo::CostBreakdown comm = topo::cost_compressed(
-        compress, param_bytes, net,
-        [&](std::int64_t wire) -> topo::CostBreakdown {
-          switch (algo) {
-            case parallel::AllreduceAlgo::kRhdAdjacent:
-            case parallel::AllreduceAlgo::kRhdRoundRobin:
-              return topo::cost_rhd(wire, topo, net, placement);
-            case parallel::AllreduceAlgo::kRing:
-              return topo::cost_ring(wire, topo, net, placement);
-            case parallel::AllreduceAlgo::kParamServer:
-              return topo::cost_param_server(wire, topo, net, 1);
-            case parallel::AllreduceAlgo::kHierarchical:
-              return topo::cost_hierarchical(wire, topo, net);
-          }
-          return {};
-        });
+    const topo::CostBreakdown comm =
+        topo::allreduce_cost(algo, compress, param_bytes, topo, net);
     std::printf("\ngradient all-reduce across %d nodes (%s, %s):\n", nodes,
-                parallel::allreduce_algo_name(algo),
+                topo::allreduce_algo_name(algo),
                 topo::compression_name(compress));
     std::printf("  packed gradients:  %.2f MB (%.2f MB on the wire)\n",
                 static_cast<double>(param_bytes) / 1e6,
@@ -434,7 +419,7 @@ int main(int argc, char** argv) {
     }
     const double sweep_wall = now_s() - s0;
     std::printf("\ntiming-only scalability sweep (%s, %s, %d buckets):\n",
-                parallel::allreduce_algo_name(algo),
+                topo::allreduce_algo_name(algo),
                 topo::compression_name(compress), series.options.buckets);
     base::TablePrinter st({"nodes", "comm", "speedup", "overlapped",
                            "exposed comm", "overlap speedup"});

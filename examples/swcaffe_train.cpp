@@ -114,7 +114,7 @@ float det_uniform(std::uint64_t iter, std::uint64_t idx, std::uint64_t salt) {
 int run_fault_tolerant(const core::NetSpec& net_spec,
                        const core::SolverSpec& solver_spec, int iterations,
                        int nodes, int buckets, int threads,
-                       parallel::AllreduceAlgo algo,
+                       topo::AllreduceAlgo algo,
                        topo::Compression compress, const fault::FaultSpec& spec,
                        int checkpoint_every, const std::string& ckpt_prefix,
                        const std::string& trace_path,
@@ -209,7 +209,7 @@ int main(int argc, char** argv) {
   int nodes = 4;
   int buckets = 1;
   int threads = 1;
-  parallel::AllreduceAlgo algo = parallel::AllreduceAlgo::kRhdRoundRobin;
+  topo::AllreduceAlgo algo = topo::AllreduceAlgo::kRhdRoundRobin;
   topo::Compression compress = topo::Compression::kNone;
   int checkpoint_every = 0;
   std::string checkpoint_prefix = "swcaffe_train.ckpt";
@@ -255,7 +255,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       threads = std::atoi(argv[++i]);
     } else if (std::strncmp(argv[i], "--algo=", 7) == 0) {
-      if (!parallel::allreduce_algo_from_name(argv[i] + 7, &algo)) {
+      if (!topo::allreduce_algo_from_name(argv[i] + 7, &algo)) {
         std::fprintf(stderr,
                      "unknown --algo '%s' (rhd-adjacent, rhd-round-robin, "
                      "hierarchical, ring, param-server)\n",
@@ -320,7 +320,7 @@ int main(int argc, char** argv) {
     std::printf("timing-only pricing of '%s' across %d nodes "
                 "(%s, %s, %d buckets):\n",
                 net_spec.name.c_str(), nodes,
-                parallel::allreduce_algo_name(algo),
+                topo::allreduce_algo_name(algo),
                 topo::compression_name(compress), trainer.num_buckets());
     std::printf("  compute (fwd+bwd):     %s\n",
                 base::format_seconds(it.comp_s).c_str());

@@ -237,7 +237,7 @@ struct BucketPlan {
 
 /// An all-reduce configuration (algorithm x compression x bucket count)
 /// viewed as checkable data. Names use the canonical spellings the rest of
-/// the stack prints (parallel::allreduce_algo_name /
+/// the stack prints (topo::allreduce_algo_name /
 /// topo::compression_name), so a plan can be built verbatim from a
 /// trainer's options and a tuner candidate is rejected by the same rule
 /// that would reject the trainer.

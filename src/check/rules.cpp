@@ -374,19 +374,17 @@ void check_buckets(const BucketPlan& plan, const hw::HwParams& hp,
 
 void check_comm(const CommPlan& plan, const Options& opts,
                 const std::string& layer, Report* report) {
-  const bool known_algo = plan.algorithm == "rhd-adjacent" ||
-                          plan.algorithm == "rhd-round-robin" ||
-                          plan.algorithm == "ring" ||
-                          plan.algorithm == "param-server" ||
-                          plan.algorithm == "hierarchical";
+  topo::AllreduceAlgo algo{};
+  const bool known_algo =
+      topo::allreduce_algo_from_name(plan.algorithm.c_str(), &algo);
   if (!known_algo) {
     report->add(Code::kGeomInvalid, Severity::kError, layer,
                 plan.name + ": unknown all-reduce algorithm \"" +
                     plan.algorithm + "\"");
   }
-  const bool known_codec = plan.compression == "none" ||
-                           plan.compression == "fp16" ||
-                           plan.compression == "int8";
+  topo::Compression codec{};
+  const bool known_codec =
+      topo::compression_from_name(plan.compression.c_str(), &codec);
   if (!known_codec) {
     report->add(Code::kGeomInvalid, Severity::kError, layer,
                 plan.name + ": unknown compression \"" + plan.compression +
@@ -409,8 +407,9 @@ void check_comm(const CommPlan& plan, const Options& opts,
   // every hop would have to re-quantize at a fresh scale — T hops compound
   // T quantization errors with no error-feedback residual to absorb them.
   // RHD variants and the hierarchy encode exactly once at the source.
-  if (plan.compression == "int8" &&
-      (plan.algorithm == "ring" || plan.algorithm == "param-server")) {
+  if (codec == topo::Compression::kInt8 &&
+      (algo == topo::AllreduceAlgo::kRing ||
+       algo == topo::AllreduceAlgo::kParamServer)) {
     report->add(Code::kCommCompressCombo, Severity::kError, layer,
                 plan.name + ": int8 quantization cannot compose with " +
                     plan.algorithm +
@@ -424,9 +423,9 @@ void check_comm(const CommPlan& plan, const Options& opts,
   // invents bandwidth; one that claims more double-charges the network.
   if (plan.wire_bytes > 0) {
     std::int64_t expected = plan.raw_bytes;
-    if (plan.compression == "fp16") {
+    if (codec == topo::Compression::kFp16) {
       expected = plan.raw_bytes / 2;
-    } else if (plan.compression == "int8") {
+    } else if (codec == topo::Compression::kInt8) {
       expected = plan.raw_bytes / 4 + plan.buckets * topo::kInt8ScaleBytes;
     }
     if (plan.wire_bytes != expected) {

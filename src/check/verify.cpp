@@ -341,25 +341,30 @@ bool hier_engages(int num_nodes, int supernode_size) {
 
 }  // namespace
 
-Report verify_allreduce(const std::string& algorithm, int num_nodes,
+Report verify_allreduce(topo::AllreduceAlgo algo, int num_nodes,
                         const Options& opts, int supernode_size) {
   Report report;
-  const std::string layer = "allreduce-" + algorithm;
+  const std::string layer =
+      std::string("allreduce-") + topo::allreduce_algo_name(algo);
   if (num_nodes <= 0) {
     geom_error(&report, layer,
                "allreduce over " + std::to_string(num_nodes) + " nodes");
     return report;
   }
   hw::HwParams hp;  // only mesh dims matter, and cluster schedules skip them
-  if (algorithm == "rhd") {
-    check_schedule(rhd_allreduce_schedule(num_nodes), hp, opts, layer,
-                   &report);
-  } else if (algorithm == "hier") {
-    if (!hier_engages(num_nodes, supernode_size)) {
-      // Fallback geometry: the runtime runs flat RHD, so check that.
+  switch (algo) {
+    case topo::AllreduceAlgo::kRhdAdjacent:
+    case topo::AllreduceAlgo::kRhdRoundRobin:
       check_schedule(rhd_allreduce_schedule(num_nodes), hp, opts, layer,
                      &report);
-    } else {
+      break;
+    case topo::AllreduceAlgo::kHierarchical: {
+      if (!hier_engages(num_nodes, supernode_size)) {
+        // Fallback geometry: the runtime runs flat RHD, so check that.
+        check_schedule(rhd_allreduce_schedule(num_nodes), hp, opts, layer,
+                       &report);
+        break;
+      }
       const std::vector<CommSchedule> phases =
           hierarchical_allreduce_phases(num_nodes, supernode_size);
       for (const CommSchedule& phase : phases) {
@@ -370,27 +375,29 @@ Report verify_allreduce(const std::string& algorithm, int num_nodes,
       // phases back to back (FIFO matching spans the whole composition).
       report.merge(
           verify_timeline(timeline_from_comm(layer + "-phases", phases, hp)));
+      break;
     }
-  } else if (algorithm == "ring") {
-    check_schedule(ring_allreduce_schedule(num_nodes), hp, opts, layer,
-                   &report);
-  } else if (algorithm == "ps") {
-    // Parameter server: every worker pushes to rank 0 and pulls the result.
-    CommSchedule sched;
-    sched.name = "allreduce_ps";
-    sched.mesh = false;
-    for (int r = 1; r < num_nodes; ++r) {
-      sched.ops.push_back({CommOp::Kind::kSend, r, 0, 0, 0, 32});
-      sched.ops.push_back({CommOp::Kind::kRecvRow, 0, 0, -1, -1, 32});
+    case topo::AllreduceAlgo::kRing:
+      check_schedule(ring_allreduce_schedule(num_nodes), hp, opts, layer,
+                     &report);
+      break;
+    case topo::AllreduceAlgo::kParamServer: {
+      // Parameter server: every worker pushes to rank 0 and pulls the
+      // result.
+      CommSchedule sched;
+      sched.name = "allreduce_ps";
+      sched.mesh = false;
+      for (int r = 1; r < num_nodes; ++r) {
+        sched.ops.push_back({CommOp::Kind::kSend, r, 0, 0, 0, 32});
+        sched.ops.push_back({CommOp::Kind::kRecvRow, 0, 0, -1, -1, 32});
+      }
+      for (int r = 1; r < num_nodes; ++r) {
+        sched.ops.push_back({CommOp::Kind::kSend, 0, 0, r, 0, 32});
+        sched.ops.push_back({CommOp::Kind::kRecvRow, r, 0, -1, -1, 32});
+      }
+      check_schedule(sched, hp, opts, layer, &report);
+      break;
     }
-    for (int r = 1; r < num_nodes; ++r) {
-      sched.ops.push_back({CommOp::Kind::kSend, 0, 0, r, 0, 32});
-      sched.ops.push_back({CommOp::Kind::kRecvRow, r, 0, -1, -1, 32});
-    }
-    check_schedule(sched, hp, opts, layer, &report);
-  } else {
-    geom_error(&report, layer, "unknown all-reduce algorithm \"" + algorithm +
-                                   "\" (expected rhd, hier, ring or ps)");
   }
   return report;
 }
@@ -400,8 +407,11 @@ Report verify_comm(const CommPlan& plan, const Options& opts) {
   const std::string layer = plan.name.empty() ? "comm" : plan.name;
   check_comm(plan, opts, layer, &report);
   if (!report.ok()) return report;
-  if (plan.algorithm == "hierarchical" &&
-      hier_engages(plan.num_nodes, plan.supernode_size)) {
+  topo::AllreduceAlgo algo{};
+  const bool hierarchical =
+      topo::allreduce_algo_from_name(plan.algorithm.c_str(), &algo) &&
+      algo == topo::AllreduceAlgo::kHierarchical;
+  if (hierarchical && hier_engages(plan.num_nodes, plan.supernode_size)) {
     const hw::HwParams hp;
     const std::vector<CommSchedule> phases =
         hierarchical_allreduce_phases(plan.num_nodes, plan.supernode_size);

@@ -10,7 +10,7 @@
 //  * verify_gemm       — one blocked mesh GEMM (m, n, k)
 //  * verify_mesh_gemm  — one *unblocked* mesh_gemm kernel launch: predicts
 //                        exactly when the functional kernel would throw
-//  * verify_allreduce  — cluster all-reduce schedule by algorithm name
+//  * verify_allreduce  — cluster all-reduce schedule of one algorithm
 #pragma once
 
 #include <cstdint>
@@ -22,6 +22,7 @@
 #include "core/layer_desc.h"
 #include "hw/cost_model.h"
 #include "swgemm/estimate.h"
+#include "topo/allreduce.h"
 
 namespace swcaffe::check {
 
@@ -66,14 +67,12 @@ Report verify_net(const hw::CostModel& cost,
                   const std::vector<core::LayerDesc>& descs,
                   const Options& opts = {});
 
-/// All-reduce schedule check. `algorithm` is "rhd", "ring", "ps"
-/// (parameter server) or "hier" (two-level supernode hierarchy); unknown
-/// names are a kGeomInvalid error. "hier" checks each phase's schedule AND
-/// the composed phase-order timeline (timeline_from_comm across local
-/// reduce-scatter -> inter RHD -> local all-gather); geometries where the
-/// hierarchy cannot engage fall back to the flat RHD schedule, mirroring
-/// the runtime.
-Report verify_allreduce(const std::string& algorithm, int num_nodes,
+/// All-reduce schedule check of `algo` (both RHD placements share one
+/// schedule). kHierarchical checks each phase's schedule AND the composed
+/// phase-order timeline (timeline_from_comm across local reduce-scatter ->
+/// inter RHD -> local all-gather); geometries where the hierarchy cannot
+/// engage fall back to the flat RHD schedule, mirroring the runtime.
+Report verify_allreduce(topo::AllreduceAlgo algo, int num_nodes,
                         const Options& opts = {}, int supernode_size = 256);
 
 /// Communication-config check (algorithm x compression x buckets): the

@@ -5,7 +5,6 @@
 #include "base/log.h"
 #include "check/timeline_extract.h"
 #include "check/verify.h"
-#include "topo/hierarchical.h"
 
 namespace swcaffe::fault {
 
@@ -19,29 +18,10 @@ topo::CostBreakdown comm_cost(const parallel::SsgdOptions& o, int nodes,
   topo::Topology topo;
   topo.num_nodes = nodes;
   topo.supernode_size = o.supernode_size;
-  // `bytes` here is the RAW gradient slice; with compression the wire moves
-  // the codec'ed bytes and pays the encode/decode passes on top (identity
-  // when compression is kNone), matching SsgdTrainer's pricing.
-  return topo::cost_compressed(
-      o.compression, bytes, o.net,
-      [&](std::int64_t wire) -> topo::CostBreakdown {
-        switch (o.algo) {
-          case parallel::AllreduceAlgo::kRhdAdjacent:
-            return topo::cost_rhd(wire, topo, o.net,
-                                  topo::Placement::kAdjacent);
-          case parallel::AllreduceAlgo::kRhdRoundRobin:
-            return topo::cost_rhd(wire, topo, o.net,
-                                  topo::Placement::kRoundRobin);
-          case parallel::AllreduceAlgo::kRing:
-            return topo::cost_ring(wire, topo, o.net,
-                                   topo::Placement::kAdjacent);
-          case parallel::AllreduceAlgo::kParamServer:
-            return topo::cost_param_server(wire, topo, o.net, o.param_servers);
-          case parallel::AllreduceAlgo::kHierarchical:
-            return topo::cost_hierarchical(wire, topo, o.net);
-        }
-        return {};
-      });
+  // `bytes` here is the RAW gradient slice; allreduce_cost prices the
+  // codec'ed wire bytes exactly as SsgdTrainer does.
+  return topo::allreduce_cost(o.algo, o.compression, bytes, topo, o.net,
+                              o.param_servers);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "parallel/ssgd.h"
 
 #include <algorithm>
-#include <string_view>
 
 #include "base/log.h"
 #include "check/rules.h"
@@ -14,74 +13,6 @@
 
 namespace swcaffe::parallel {
 
-namespace {
-
-/// Tracer span name of each collective (matches what the topo functional
-/// variants emit, so the compressed path's manual span is indistinguishable
-/// from an uncompressed run of the same algorithm).
-const char* trace_span_name(AllreduceAlgo algo) {
-  switch (algo) {
-    case AllreduceAlgo::kRhdAdjacent:
-    case AllreduceAlgo::kRhdRoundRobin:
-      return "allreduce.rhd";
-    case AllreduceAlgo::kRing:
-      return "allreduce.ring";
-    case AllreduceAlgo::kParamServer:
-      return "allreduce.param_server";
-    case AllreduceAlgo::kHierarchical:
-      return "allreduce.hier";
-  }
-  return "allreduce";
-}
-
-}  // namespace
-
-const char* allreduce_algo_name(AllreduceAlgo algo) {
-  switch (algo) {
-    case AllreduceAlgo::kRhdAdjacent:
-      return "rhd-adjacent";
-    case AllreduceAlgo::kRhdRoundRobin:
-      return "rhd-round-robin";
-    case AllreduceAlgo::kRing:
-      return "ring";
-    case AllreduceAlgo::kParamServer:
-      return "param-server";
-    case AllreduceAlgo::kHierarchical:
-      return "hierarchical";
-  }
-  return "?";
-}
-
-bool allreduce_algo_from_name(const char* name, AllreduceAlgo* out) {
-  const std::string_view n = name ? name : "";
-  for (AllreduceAlgo algo :
-       {AllreduceAlgo::kRhdAdjacent, AllreduceAlgo::kRhdRoundRobin,
-        AllreduceAlgo::kRing, AllreduceAlgo::kParamServer,
-        AllreduceAlgo::kHierarchical}) {
-    if (n == allreduce_algo_name(algo)) {
-      *out = algo;
-      return true;
-    }
-  }
-  return false;
-}
-
-topo::Placement placement_for(AllreduceAlgo algo) {
-  switch (algo) {
-    case AllreduceAlgo::kRhdAdjacent:
-    case AllreduceAlgo::kRing:
-    case AllreduceAlgo::kParamServer:
-      return topo::Placement::kAdjacent;
-    case AllreduceAlgo::kRhdRoundRobin:
-    // The hierarchical algorithm's two-level phase structure is exactly the
-    // improved RHD butterfly under round-robin placement, so a gang laid out
-    // round-robin serves both (and the flat fallback is bit-identical).
-    case AllreduceAlgo::kHierarchical:
-      return topo::Placement::kRoundRobin;
-  }
-  return topo::Placement::kAdjacent;
-}
-
 SsgdTrainer::SsgdTrainer(const core::NetSpec& spec, int num_nodes,
                          const core::SolverSpec& solver,
                          const SsgdOptions& options, std::uint64_t seed)
@@ -93,7 +24,7 @@ SsgdTrainer::SsgdTrainer(const core::NetSpec& spec, int num_nodes,
   topo_.supernode_size = options.supernode_size;
   // Topology placement depends only on the configured algorithm; computed
   // once here and reused by every allreduce() call.
-  placement_ = placement_for(options_.algo);
+  placement_ = topo::placement_for(options_.algo);
   // Timing-only mode materializes one prototype replica: the bucket layout
   // and its verification read the live layers, but no gradients ever move.
   const int replicas = options_.timing_only ? 1 : num_nodes;
@@ -165,7 +96,7 @@ SsgdTrainer::SsgdTrainer(const core::NetSpec& spec, int num_nodes,
   // goes on the network).
   check::CommPlan cplan;
   cplan.name = "ssgd-comm";
-  cplan.algorithm = allreduce_algo_name(options_.algo);
+  cplan.algorithm = topo::allreduce_algo_name(options_.algo);
   cplan.compression = topo::compression_name(options_.compression);
   // verify_comm expands the hierarchical algorithm into its full per-node
   // message schedule and race-checks the whole timeline — superlinear in
@@ -343,23 +274,15 @@ const topo::CostBreakdown& SsgdTrainer::allreduce_bucket(
       break;
   }
   if (comp != topo::Compression::kNone) {
-    slot = topo::cost_compressed(
-        comp, buckets_[b].bytes, options_.net,
-        [this](std::int64_t wire) { return cost_for_bytes(wire); });
-    topo::trace_allreduce(tracer_, trace_track_, trace_span_name(options_.algo),
-                          slot);
+    slot = bucket_cost(buckets_[b].bytes);
+    topo::trace_allreduce(tracer_, trace_track_,
+                          topo::allreduce_span_name(options_.algo), slot);
   }
   // Iteration totals: every bucket's collective is identical across
   // iterations, so summing the per-bucket slots is correct even when the
   // caller reduces buckets one at a time.
   last_comm_ = topo::CostBreakdown{};
-  for (const auto& c : last_comm_buckets_) {
-    last_comm_.seconds += c.seconds;
-    last_comm_.alpha_terms += c.alpha_terms;
-    last_comm_.beta1_bytes += c.beta1_bytes;
-    last_comm_.beta2_bytes += c.beta2_bytes;
-    last_comm_.gamma_bytes += c.gamma_bytes;
-  }
+  for (const auto& c : last_comm_buckets_) last_comm_ += c;
   return slot;
 }
 
@@ -371,31 +294,18 @@ TimedIteration SsgdTrainer::price_iteration(
   const dnn::NetTimeline tl = dnn::estimate_net_timeline(
       cost, descs_per_cg, conv_overrides ? *conv_overrides : kNoOverrides);
 
-  // The exact pricing allreduce_bucket() charges: the codec wrapper over
-  // the configured collective (identity when compression is off; the
-  // functional collectives return the analytic breakdown bit for bit).
-  const auto bucket_cost = [this](std::int64_t bytes) -> topo::CostBreakdown {
-    return topo::cost_compressed(
-        options_.compression, bytes, options_.net,
-        [this](std::int64_t wire) { return cost_for_bytes(wire); });
-  };
-
   TimedIteration it;
   it.comp_s = tl.total_s;
   // Per-bucket totals accumulate in layer order — the same order
   // allreduce_bucket() sums last_comm_buckets_ — so the serial-model comm
   // equals the functional step()'s last_comm() bit for bit.
-  for (const auto& b : buckets_) {
-    const topo::CostBreakdown c = bucket_cost(b.bytes);
-    it.comm.seconds += c.seconds;
-    it.comm.alpha_terms += c.alpha_terms;
-    it.comm.beta1_bytes += c.beta1_bytes;
-    it.comm.beta2_bytes += c.beta2_bytes;
-    it.comm.gamma_bytes += c.gamma_bytes;
-  }
+  // bucket_cost is the exact pricing allreduce_bucket() charges (the
+  // functional collectives return the analytic breakdown bit for bit).
+  for (const auto& b : buckets_) it.comm += bucket_cost(b.bytes);
   sim::EventLog log;
-  it.overlap = topo::schedule_overlap(buckets_, tl.bwd_s, tl.total_s,
-                                      bucket_cost, &log);
+  it.overlap = topo::schedule_overlap(
+      buckets_, tl.bwd_s, tl.total_s,
+      [this](std::int64_t bytes) { return bucket_cost(bytes); }, &log);
   it.serial_s = it.comp_s + it.comm.seconds;
   // swsched: the engine's own event log IS the timeline — extract it
   // directly (no per-subsystem re-derivation) and verify exclusive network
@@ -405,22 +315,6 @@ TimedIteration SsgdTrainer::price_iteration(
   SWC_CHECK_MSG(report.ok(), "swsched rejected the priced iteration timeline: "
                                  << report.summary());
   return it;
-}
-
-topo::CostBreakdown SsgdTrainer::cost_for_bytes(std::int64_t bytes) const {
-  switch (options_.algo) {
-    case AllreduceAlgo::kRhdAdjacent:
-    case AllreduceAlgo::kRhdRoundRobin:
-      return topo::cost_rhd(bytes, topo_, options_.net, placement_);
-    case AllreduceAlgo::kRing:
-      return topo::cost_ring(bytes, topo_, options_.net, placement_);
-    case AllreduceAlgo::kParamServer:
-      return topo::cost_param_server(bytes, topo_, options_.net,
-                                     options_.param_servers);
-    case AllreduceAlgo::kHierarchical:
-      return topo::cost_hierarchical(bytes, topo_, options_.net);
-  }
-  return {};
 }
 
 void SsgdTrainer::apply(std::vector<std::vector<float>>& grads) {
@@ -450,21 +344,6 @@ void SsgdTrainer::apply_aggregate(std::span<const float> grad) {
     nets_[r]->unpack_param_diffs(grad);
     solvers_[r]->apply_update();
   }
-}
-
-std::vector<ScalePoint> scalability_curve(
-    const hw::CostModel& cost,
-    const std::vector<core::LayerDesc>& descs_per_cg, std::int64_t param_bytes,
-    const SsgdOptions& options, const std::vector<int>& node_counts,
-    const std::map<std::string, dnn::ConvEstimate>* conv_overrides) {
-  const SeriesTiming series = prepare_series(cost, descs_per_cg, param_bytes,
-                                             options, conv_overrides);
-  std::vector<ScalePoint> out;
-  out.reserve(node_counts.size());
-  for (int nodes : node_counts) {
-    out.push_back(price_scale_point(series, param_bytes, options, nodes));
-  }
-  return out;
 }
 
 }  // namespace swcaffe::parallel

@@ -5,10 +5,8 @@
 // (the paper's gradient-packing optimization) and combined with the chosen
 // all-reduce; every node then applies the identical SGD update. The
 // communication cost of each iteration is accounted with the topo cost
-// model.
-//
-// Analytic scalability model: reproduces Figs. 10/11 at up to 1024 nodes
-// without materializing 1024 replicas.
+// model (topo::allreduce_cost). The analytic Fig. 10/11 scalability sweep
+// over the same pricing lives in parallel/sweep.h.
 #pragma once
 
 #include <map>
@@ -29,32 +27,10 @@
 
 namespace swcaffe::parallel {
 
-/// kHierarchical is the two-level supernode-aware all-reduce
-/// (topo/hierarchical): supernode-local reduce-scatter, inter-supernode
-/// improved RHD over chunk representatives, supernode-local all-gather.
-/// Falls back to flat improved RHD when the topology can't be split
-/// (see topo::hierarchical_applicable).
-enum class AllreduceAlgo {
-  kRhdAdjacent,
-  kRhdRoundRobin,
-  kRing,
-  kParamServer,
-  kHierarchical
-};
-
-const char* allreduce_algo_name(AllreduceAlgo algo);
-
-/// Inverse of allreduce_algo_name ("rhd-adjacent" / "rhd-round-robin" /
-/// "ring" / "param-server" / "hierarchical"); returns false on an unknown
-/// name, leaving *out untouched. For CLI flag parsing.
-bool allreduce_algo_from_name(const char* name, AllreduceAlgo* out);
-
-/// Topology placement implied by the collective: only the paper's improved
-/// RHD mapping deals ranks to supernodes round-robin; everything else keeps
-/// the default adjacent mapping. Shared by SsgdTrainer and the cluster
-/// scheduler's gang allocator (sched::Cluster), so a gang is laid out
-/// exactly the way its collective expects to find the ranks.
-topo::Placement placement_for(AllreduceAlgo algo);
+// The collectives, their names and placements live in topo, the lowest
+// library every pricing path links; SsgdOptions::algo and existing
+// parallel::AllreduceAlgo spellings use this alias.
+using topo::AllreduceAlgo;
 
 struct SsgdOptions {
   AllreduceAlgo algo = AllreduceAlgo::kRhdRoundRobin;
@@ -204,38 +180,13 @@ class SsgdTrainer {
   trace::Tracer* tracer_ = nullptr;
   int trace_track_ = 0;
 
-  /// Cost of the configured collective over `bytes` on this trainer's
+  /// Codec-wrapped price of one bucket of `raw_bytes` on this trainer's
   /// topology (pricing only; no data movement).
-  topo::CostBreakdown cost_for_bytes(std::int64_t bytes) const;
+  topo::CostBreakdown bucket_cost(std::int64_t raw_bytes) const {
+    return topo::allreduce_cost(options_.algo, options_.compression,
+                                raw_bytes, topo_, options_.net,
+                                options_.param_servers);
+  }
 };
-
-/// One point of the Fig. 10/11 curves.
-struct ScalePoint {
-  int nodes = 1;
-  double comp_s = 0.0;       ///< per-iteration compute (node, 4 CGs)
-  double comm_s = 0.0;       ///< per-iteration all-reduce (serial model)
-  double speedup = 1.0;      ///< throughput(N) / throughput(1)
-  double comm_fraction = 0;  ///< comm / (comp + comm)
-  // Overlapped (bucketed) series at SsgdOptions::buckets. With buckets == 1
-  // these reproduce the serial model bit-for-bit (overlap_s == comp + comm).
-  double overlap_s = 0.0;         ///< overlapped iteration time
-  double exposed_comm_s = 0.0;    ///< comm tail sticking out past compute
-  double overlap_speedup = 1.0;   ///< nodes * comp / overlap_s
-  int buckets = 1;                ///< effective bucket count (post-clamp)
-};
-
-/// Analytic scalability: `descs_per_cg` describes the net at sub_batch/4
-/// (one core group's share, Algorithm 1); `param_bytes` is the packed
-/// gradient message. `conv_overrides` (optional) prices convolutions at
-/// tuned plans (swtune), so topo scheduling sees the tuned compute time.
-/// `options.buckets` > 1 additionally fills the overlapped series: per-layer
-/// descriptor bytes are rescaled to sum to `param_bytes`, bucketed with
-/// topo::make_buckets and scheduled with topo::schedule_overlap against the
-/// per-layer backward times.
-std::vector<ScalePoint> scalability_curve(
-    const hw::CostModel& cost, const std::vector<core::LayerDesc>& descs_per_cg,
-    std::int64_t param_bytes, const SsgdOptions& options,
-    const std::vector<int>& node_counts,
-    const std::map<std::string, dnn::ConvEstimate>* conv_overrides = nullptr);
 
 }  // namespace swcaffe::parallel

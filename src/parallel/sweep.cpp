@@ -4,9 +4,18 @@
 #include "check/rules.h"
 #include "check/timeline_extract.h"
 #include "sim/thread_pool.h"
-#include "topo/hierarchical.h"
 
 namespace swcaffe::parallel {
+
+namespace {
+
+/// Per-series prep, computed once and reused by every node count: the
+/// per-layer compute timeline and the layer-aligned bucket layout of the
+/// packed gradient message.
+struct SeriesTiming {
+  dnn::NetTimeline timeline;
+  std::vector<topo::GradientBucket> buckets;
+};
 
 SeriesTiming prepare_series(
     const hw::CostModel& cost, const std::vector<core::LayerDesc>& descs_per_cg,
@@ -41,7 +50,7 @@ ScalePoint price_scale_point(const SeriesTiming& series,
   // compression combos are rejected before any cost is computed.
   check::CommPlan cplan;
   cplan.name = "scalability-comm";
-  cplan.algorithm = allreduce_algo_name(options.algo);
+  cplan.algorithm = topo::allreduce_algo_name(options.algo);
   cplan.compression = topo::compression_name(options.compression);
   cplan.num_nodes = nodes;
   cplan.supernode_size = options.supernode_size;
@@ -51,32 +60,11 @@ ScalePoint price_scale_point(const SeriesTiming& series,
   check::check_comm(cplan, check::Options{}, cplan.name, &creport);
   SWC_CHECK_MSG(creport.ok(), "swcheck rejected the comm config at "
                                   << nodes << " nodes: " << creport.summary());
-  // Wire pricing: the raw gradient bytes pass through the codec (priced at
-  // memory bandwidth) and the collective moves the compressed bytes. With
-  // kNone the wrapper is the identity, so this is the single path for
-  // both series.
-  const auto raw_cost = [&](std::int64_t bytes) -> topo::CostBreakdown {
-    switch (options.algo) {
-      case AllreduceAlgo::kRhdAdjacent:
-        return topo::cost_rhd(bytes, topo, options.net,
-                              topo::Placement::kAdjacent);
-      case AllreduceAlgo::kRhdRoundRobin:
-        return topo::cost_rhd(bytes, topo, options.net,
-                              topo::Placement::kRoundRobin);
-      case AllreduceAlgo::kRing:
-        return topo::cost_ring(bytes, topo, options.net,
-                               topo::Placement::kAdjacent);
-      case AllreduceAlgo::kParamServer:
-        return topo::cost_param_server(bytes, topo, options.net,
-                                       options.param_servers);
-      case AllreduceAlgo::kHierarchical:
-        return topo::cost_hierarchical(bytes, topo, options.net);
-    }
-    return {};
-  };
-  const auto bucket_cost = [&](std::int64_t bytes) -> topo::CostBreakdown {
-    return topo::cost_compressed(options.compression, bytes, options.net,
-                                 raw_cost);
+  // Wire pricing: the codec-wrapped collective (identity wrapper with
+  // kNone), the same topo::allreduce_cost the trainer charges.
+  const auto bucket_cost = [&](std::int64_t bytes) {
+    return topo::allreduce_cost(options.algo, options.compression, bytes, topo,
+                                options.net, options.param_servers);
   };
   const topo::CostBreakdown comm = bucket_cost(param_bytes);
   const topo::OverlapTimeline overlap = topo::schedule_overlap(
@@ -100,6 +88,8 @@ ScalePoint price_scale_point(const SeriesTiming& series,
   pt.buckets = static_cast<int>(series.buckets.size());
   return pt;
 }
+
+}  // namespace
 
 std::vector<SweepResult> scalability_sweep(const hw::CostModel& cost,
                                            const std::vector<SweepSeries>& series,

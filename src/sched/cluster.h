@@ -2,7 +2,7 @@
 // gang allocation.
 //
 // The allocator realizes the placement the gang's collective prices for
-// (parallel::placement_for): kAdjacent packs the gang into as few
+// (topo::placement_for): kAdjacent packs the gang into as few
 // supernodes as possible (dense low node ids first), kRoundRobin deals the
 // gang across supernodes one node at a time — the paper's improved RHD
 // mapping, which keeps the large recursive-halving exchanges

@@ -5,9 +5,7 @@
 #include "base/log.h"
 #include "core/models.h"
 #include "swdnn/layer_estimate.h"
-#include "topo/allreduce.h"
 #include "topo/compress.h"
-#include "topo/hierarchical.h"
 
 namespace swcaffe::sched {
 
@@ -42,26 +40,9 @@ double JobProfile::iter_s(int width, int replicas,
   topo::Topology topo;
   topo.num_nodes = width;
   topo.supernode_size = options.supernode_size;
-  const topo::Placement placement = parallel::placement_for(options.algo);
-  // Compression moves the codec'ed bytes over the wire and charges the
-  // encode/decode passes on top (identity when compression is kNone).
-  const topo::CostBreakdown comm = topo::cost_compressed(
-      options.compression, param_bytes, options.net,
-      [&](std::int64_t bytes) -> topo::CostBreakdown {
-        switch (options.algo) {
-          case parallel::AllreduceAlgo::kRhdAdjacent:
-          case parallel::AllreduceAlgo::kRhdRoundRobin:
-            return topo::cost_rhd(bytes, topo, options.net, placement);
-          case parallel::AllreduceAlgo::kRing:
-            return topo::cost_ring(bytes, topo, options.net, placement);
-          case parallel::AllreduceAlgo::kParamServer:
-            return topo::cost_param_server(bytes, topo, options.net,
-                                           options.param_servers);
-          case parallel::AllreduceAlgo::kHierarchical:
-            return topo::cost_hierarchical(bytes, topo, options.net);
-        }
-        return {};
-      });
+  const topo::CostBreakdown comm =
+      topo::allreduce_cost(options.algo, options.compression, param_bytes, topo,
+                           options.net, options.param_servers);
   return compute_s + comm.seconds;
 }
 

@@ -57,7 +57,7 @@ class Simulator {
       : options_(options),
         engine_(options.policy),
         cluster_(options.cluster_nodes, options.supernode_size),
-        placement_(parallel::placement_for(options.ssgd.algo)) {
+        placement_(topo::placement_for(options.ssgd.algo)) {
     SWC_CHECK_GT(options.quantum_iters, 0);
     SWC_CHECK_GT(options.checkpoint_bw, 0.0);
     std::map<std::pair<ModelKind, int>, JobProfile> profiles;

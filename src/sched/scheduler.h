@@ -6,7 +6,7 @@
 //
 //  * Gang scheduling — a job runs on all of its nodes or none of them; the
 //    gang is placed with the supernode-aware allocator at the placement its
-//    all-reduce prices for (parallel::placement_for).
+//    all-reduce prices for (topo::placement_for).
 //  * Quanta — a dispatched job runs `quantum_iters` iterations per quantum;
 //    quantum boundaries are the only points where gangs change hands
 //    (gradients are synchronized there, so node 0's state is a complete

@@ -2,10 +2,69 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 
 #include "base/log.h"
 
 namespace swcaffe::topo {
+
+const char* allreduce_algo_name(AllreduceAlgo algo) {
+  switch (algo) {
+    case AllreduceAlgo::kRhdAdjacent:
+      return "rhd-adjacent";
+    case AllreduceAlgo::kRhdRoundRobin:
+      return "rhd-round-robin";
+    case AllreduceAlgo::kRing:
+      return "ring";
+    case AllreduceAlgo::kParamServer:
+      return "param-server";
+    case AllreduceAlgo::kHierarchical:
+      return "hierarchical";
+  }
+  return "?";
+}
+
+bool allreduce_algo_from_name(const char* name, AllreduceAlgo* out) {
+  const std::string_view n = name ? name : "";
+  for (AllreduceAlgo algo : kAllreduceAlgos) {
+    if (n == allreduce_algo_name(algo)) {
+      *out = algo;
+      return true;
+    }
+  }
+  return false;
+}
+
+Placement placement_for(AllreduceAlgo algo) {
+  switch (algo) {
+    case AllreduceAlgo::kRhdAdjacent:
+    case AllreduceAlgo::kRing:
+    case AllreduceAlgo::kParamServer:
+      return Placement::kAdjacent;
+    case AllreduceAlgo::kRhdRoundRobin:
+    // The hierarchical algorithm's two-level phase structure is exactly the
+    // improved RHD butterfly under round-robin placement, so a gang laid out
+    // round-robin serves both (and the flat fallback is bit-identical).
+    case AllreduceAlgo::kHierarchical:
+      return Placement::kRoundRobin;
+  }
+  return Placement::kAdjacent;
+}
+
+const char* allreduce_span_name(AllreduceAlgo algo) {
+  switch (algo) {
+    case AllreduceAlgo::kRhdAdjacent:
+    case AllreduceAlgo::kRhdRoundRobin:
+      return "allreduce.rhd";
+    case AllreduceAlgo::kRing:
+      return "allreduce.ring";
+    case AllreduceAlgo::kParamServer:
+      return "allreduce.param_server";
+    case AllreduceAlgo::kHierarchical:
+      return "allreduce.hier";
+  }
+  return "allreduce";
+}
 
 namespace {
 

@@ -27,6 +27,45 @@
 
 namespace swcaffe::topo {
 
+/// The gradient collectives the trainer, scheduler, tuner and checker
+/// choose between. kHierarchical is the two-level supernode-aware
+/// all-reduce (topo/hierarchical): supernode-local reduce-scatter,
+/// inter-supernode improved RHD over chunk representatives, supernode-local
+/// all-gather. Falls back to flat improved RHD when the topology can't be
+/// split (see hierarchical_applicable).
+enum class AllreduceAlgo {
+  kRhdAdjacent,
+  kRhdRoundRobin,
+  kRing,
+  kParamServer,
+  kHierarchical
+};
+
+/// Every AllreduceAlgo, in declaration order.
+inline constexpr AllreduceAlgo kAllreduceAlgos[] = {
+    AllreduceAlgo::kRhdAdjacent, AllreduceAlgo::kRhdRoundRobin,
+    AllreduceAlgo::kRing, AllreduceAlgo::kParamServer,
+    AllreduceAlgo::kHierarchical};
+
+/// Canonical name: "rhd-adjacent" / "rhd-round-robin" / "ring" /
+/// "param-server" / "hierarchical".
+const char* allreduce_algo_name(AllreduceAlgo algo);
+
+/// Inverse of allreduce_algo_name; returns false on an unknown (or null)
+/// name, leaving *out untouched. For CLI flag and plan parsing.
+bool allreduce_algo_from_name(const char* name, AllreduceAlgo* out);
+
+/// Topology placement implied by the collective: only the paper's improved
+/// RHD mapping deals ranks to supernodes round-robin; everything else keeps
+/// the default adjacent mapping. Shared by the trainer, the pricing paths
+/// and the cluster scheduler's gang allocator (sched::Cluster), so a gang is
+/// laid out exactly the way its collective expects to find the ranks.
+Placement placement_for(AllreduceAlgo algo);
+
+/// Tracer span name the functional variant of `algo` emits
+/// ("allreduce.rhd", "allreduce.ring", ...).
+const char* allreduce_span_name(AllreduceAlgo algo);
+
 /// Per-node cost decomposition in the paper's alpha/beta/gamma terms.
 struct CostBreakdown {
   double seconds = 0.0;
@@ -34,6 +73,16 @@ struct CostBreakdown {
   double beta1_bytes = 0.0;   ///< per-node bytes moved intra-supernode
   double beta2_bytes = 0.0;   ///< per-node bytes moved cross-supernode
   double gamma_bytes = 0.0;   ///< per-node bytes locally reduced
+
+  /// Term-by-term sum: the cost of running `part` after this collective.
+  CostBreakdown& operator+=(const CostBreakdown& part) {
+    seconds += part.seconds;
+    alpha_terms += part.alpha_terms;
+    beta1_bytes += part.beta1_bytes;
+    beta2_bytes += part.beta2_bytes;
+    gamma_bytes += part.gamma_bytes;
+    return *this;
+  }
 };
 
 /// Records one finished all-reduce in `tracer` (no-op when null): a span of

@@ -5,6 +5,7 @@
 #include <string_view>
 
 #include "base/log.h"
+#include "topo/hierarchical.h"
 
 namespace swcaffe::topo {
 
@@ -148,6 +149,25 @@ double codec_seconds(Compression c, std::int64_t raw_bytes,
   // Encode at the source + decode at the sink: two streaming passes over
   // the raw floats on the CPE clusters (same engine the gamma term uses).
   return 2.0 * static_cast<double>(raw_bytes) / net.reduce_bw;
+}
+
+CostBreakdown allreduce_cost(AllreduceAlgo algo, Compression c,
+                             std::int64_t raw_bytes, const Topology& topo,
+                             const NetParams& net, int param_servers) {
+  return cost_compressed(c, raw_bytes, net, [&](std::int64_t wire) {
+    switch (algo) {
+      case AllreduceAlgo::kRhdAdjacent:
+      case AllreduceAlgo::kRhdRoundRobin:
+        return cost_rhd(wire, topo, net, placement_for(algo));
+      case AllreduceAlgo::kRing:
+        return cost_ring(wire, topo, net, placement_for(algo));
+      case AllreduceAlgo::kParamServer:
+        return cost_param_server(wire, topo, net, param_servers);
+      case AllreduceAlgo::kHierarchical:
+        return cost_hierarchical(wire, topo, net);
+    }
+    return CostBreakdown{};
+  });
 }
 
 }  // namespace swcaffe::topo

@@ -99,4 +99,14 @@ CostBreakdown cost_compressed(Compression c, std::int64_t raw_bytes,
   return cost;
 }
 
+/// THE price of one gradient all-reduce: cost_compressed over the analytic
+/// cost of `algo` (cost_rhd / cost_ring / cost_param_server /
+/// cost_hierarchical) at placement_for(algo). `raw_bytes` is the packed
+/// float32 message; `param_servers` is read by kParamServer only. Every
+/// pricing path (trainer, sweep, scheduler, fault recovery, tuner, CLIs)
+/// calls this, so they agree bit for bit.
+CostBreakdown allreduce_cost(AllreduceAlgo algo, Compression c,
+                             std::int64_t raw_bytes, const Topology& topo,
+                             const NetParams& net, int param_servers = 1);
+
 }  // namespace swcaffe::topo

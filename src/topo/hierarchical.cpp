@@ -16,14 +16,6 @@ int log2i(int v) {
   return l;
 }
 
-void accumulate(CostBreakdown& into, const CostBreakdown& part) {
-  into.seconds += part.seconds;
-  into.alpha_terms += part.alpha_terms;
-  into.beta1_bytes += part.beta1_bytes;
-  into.beta2_bytes += part.beta2_bytes;
-  into.gamma_bytes += part.gamma_bytes;
-}
-
 }  // namespace
 
 bool hierarchical_applicable(const Topology& topo) {
@@ -60,7 +52,7 @@ CostBreakdown cost_hierarchical(std::int64_t bytes, const Topology& topo,
   inter.num_nodes = s;
   inter.supernode_size = 1;
   const std::int64_t chunk = (bytes + q - 1) / q;
-  accumulate(cost, cost_rhd(chunk, inter, net, Placement::kAdjacent));
+  cost += cost_rhd(chunk, inter, net, Placement::kAdjacent);
 
   trace_allreduce(tracer, trace_track, "allreduce.hier", cost);
   return cost;

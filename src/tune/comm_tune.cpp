@@ -5,45 +5,11 @@
 #include "base/log.h"
 #include "check/plan_model.h"
 #include "check/rules.h"
-#include "topo/allreduce.h"
-#include "topo/hierarchical.h"
 #include "topo/overlap.h"
 #include "topo/topology.h"
 #include "tune/search_space.h"
 
 namespace swcaffe::tune {
-
-namespace {
-
-/// Analytic cost of the named collective (canonical algorithm names; the
-/// caller has already validated the name through swcheck's comm rule).
-topo::CostBreakdown algo_cost(const std::string& algorithm, std::int64_t bytes,
-                              const topo::Topology& topo,
-                              const CommTuneOptions& options) {
-  if (algorithm == "rhd-adjacent") {
-    return topo::cost_rhd(bytes, topo, options.net,
-                          topo::Placement::kAdjacent);
-  }
-  if (algorithm == "rhd-round-robin") {
-    return topo::cost_rhd(bytes, topo, options.net,
-                          topo::Placement::kRoundRobin);
-  }
-  if (algorithm == "hierarchical") {
-    return topo::cost_hierarchical(bytes, topo, options.net);
-  }
-  if (algorithm == "ring") {
-    return topo::cost_ring(bytes, topo, options.net,
-                           topo::Placement::kAdjacent);
-  }
-  if (algorithm == "param-server") {
-    return topo::cost_param_server(bytes, topo, options.net,
-                                   options.param_servers);
-  }
-  SWC_CHECK_MSG(false, "unknown collective in comm search: " << algorithm);
-  return {};
-}
-
-}  // namespace
 
 CommChoice tune_comm(const std::vector<double>& layer_bwd_s, double compute_s,
                      const std::vector<std::int64_t>& layer_bytes,
@@ -63,16 +29,18 @@ CommChoice tune_comm(const std::vector<double>& layer_bwd_s, double compute_s,
   // then uncompressed before lossy codecs, then fewer buckets. The argmin
   // below only replaces on strict improvement, so among equals the earliest
   // (most conservative) configuration wins — deterministically.
-  static const char* const kAlgorithms[] = {
-      "rhd-round-robin", "rhd-adjacent", "hierarchical", "ring",
-      "param-server"};
+  using topo::AllreduceAlgo;
+  static constexpr AllreduceAlgo kAlgorithms[] = {
+      AllreduceAlgo::kRhdRoundRobin, AllreduceAlgo::kRhdAdjacent,
+      AllreduceAlgo::kHierarchical, AllreduceAlgo::kRing,
+      AllreduceAlgo::kParamServer};
   static const topo::Compression kCodecs[] = {topo::Compression::kNone,
                                               topo::Compression::kFp16,
                                               topo::Compression::kInt8};
 
   CommChoice choice;
   bool seeded = false;
-  for (const char* algorithm : kAlgorithms) {
+  for (AllreduceAlgo algorithm : kAlgorithms) {
     for (topo::Compression codec : kCodecs) {
       int seen_effective = 0;  // layout sizes grow with k; skip repeats
       for (int k : bucket_count_candidates(options.max_buckets)) {
@@ -93,7 +61,7 @@ CommChoice tune_comm(const std::vector<double>& layer_bwd_s, double compute_s,
         // follow from the codec.
         check::CommPlan plan;
         plan.name = "tune-comm";
-        plan.algorithm = algorithm;
+        plan.algorithm = topo::allreduce_algo_name(algorithm);
         plan.compression = topo::compression_name(codec);
         plan.num_nodes = num_nodes;
         plan.supernode_size = options.supernode_size;
@@ -111,12 +79,9 @@ CommChoice tune_comm(const std::vector<double>& layer_bwd_s, double compute_s,
           continue;
         }
 
-        const auto bucket_cost =
-            [&](std::int64_t bytes) -> topo::CostBreakdown {
-          return topo::cost_compressed(
-              codec, bytes, options.net, [&](std::int64_t wire) {
-                return algo_cost(algorithm, wire, topo, options);
-              });
+        const auto bucket_cost = [&](std::int64_t bytes) {
+          return topo::allreduce_cost(algorithm, codec, bytes, topo,
+                                      options.net, options.param_servers);
         };
         const topo::OverlapTimeline tl =
             topo::schedule_overlap(layout, layer_bwd_s, compute_s,
@@ -125,7 +90,7 @@ CommChoice tune_comm(const std::vector<double>& layer_bwd_s, double compute_s,
         cand.exposed_comm_s = tl.exposed_comm_s;
         choice.candidates.push_back(cand);
 
-        const bool is_baseline = cand.algorithm == "rhd-round-robin" &&
+        const bool is_baseline = algorithm == AllreduceAlgo::kRhdRoundRobin &&
                                  codec == topo::Compression::kNone && k == 1;
         if (is_baseline) choice.baseline_s = tl.finish_s;
         if (!seeded || tl.finish_s < choice.overlapped_s) {

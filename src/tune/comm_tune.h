@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "topo/compress.h"
@@ -25,7 +24,7 @@ namespace swcaffe::tune {
 
 /// One priced (or rejected) communication configuration.
 struct CommCandidate {
-  std::string algorithm;  ///< canonical name (parallel::allreduce_algo_name)
+  topo::AllreduceAlgo algorithm = topo::AllreduceAlgo::kRhdRoundRobin;
   topo::Compression compression = topo::Compression::kNone;
   int requested_buckets = 1;  ///< menu entry
   int buckets = 1;            ///< effective layout size (make_buckets clamps)
@@ -35,7 +34,7 @@ struct CommCandidate {
 };
 
 struct CommChoice {
-  std::string algorithm = "rhd-round-robin";
+  topo::AllreduceAlgo algorithm = topo::AllreduceAlgo::kRhdRoundRobin;
   topo::Compression compression = topo::Compression::kNone;
   int buckets = 1;
   double baseline_s = 0.0;    ///< the paper's config (rhd-rr, none, k=1)

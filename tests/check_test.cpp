@@ -210,33 +210,37 @@ TEST(RlcRules, BuiltinSchedulesAreDeadlockFree) {
 }
 
 TEST(RlcRules, AllreduceSchedulesAreDeadlockFree) {
-  for (const char* algo : {"rhd", "ring", "ps"}) {
+  for (topo::AllreduceAlgo algo :
+       {topo::AllreduceAlgo::kRhdRoundRobin, topo::AllreduceAlgo::kRing,
+        topo::AllreduceAlgo::kParamServer}) {
     for (int nodes : {1, 2, 24, 100, 256, 1024}) {
       const Report report = verify_allreduce(algo, nodes);
       EXPECT_TRUE(report.diagnostics().empty())
-          << algo << " over " << nodes << ": " << report.summary();
+          << topo::allreduce_algo_name(algo) << " over " << nodes << ": "
+          << report.summary();
     }
   }
-  EXPECT_TRUE(verify_allreduce("butterfly", 8).has(Code::kGeomInvalid));
-  EXPECT_TRUE(verify_allreduce("rhd", 0).has(Code::kGeomInvalid));
+  EXPECT_TRUE(verify_allreduce(topo::AllreduceAlgo::kRhdRoundRobin, 0)
+                  .has(Code::kGeomInvalid));
 }
 
 TEST(RlcRules, HierarchicalAllreduceSchedulesAreDeadlockFree) {
+  constexpr topo::AllreduceAlgo kHier = topo::AllreduceAlgo::kHierarchical;
   // Engaging geometries: every phase schedule plus the composed phase-order
   // timeline must be silent.
   for (auto [nodes, q] : {std::pair{16, 4}, {1024, 256}, {24, 8}}) {
-    const Report report = verify_allreduce("hier", nodes, Options{}, q);
+    const Report report = verify_allreduce(kHier, nodes, Options{}, q);
     EXPECT_TRUE(report.diagnostics().empty())
         << "hier " << nodes << "/" << q << ": " << report.summary();
   }
   // Non-engaging geometries fall back to the flat RHD schedule (mirroring
   // the runtime) and must be just as silent.
   for (auto [nodes, q] : {std::pair{10, 4}, {100, 256}, {24, 7}}) {
-    const Report report = verify_allreduce("hier", nodes, Options{}, q);
+    const Report report = verify_allreduce(kHier, nodes, Options{}, q);
     EXPECT_TRUE(report.diagnostics().empty())
         << "hier fallback " << nodes << "/" << q << ": " << report.summary();
   }
-  EXPECT_TRUE(verify_allreduce("hier", 0).has(Code::kGeomInvalid));
+  EXPECT_TRUE(verify_allreduce(kHier, 0).has(Code::kGeomInvalid));
 }
 
 // --- Communication-config legality (algorithm x compression) -----------------

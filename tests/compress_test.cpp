@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "proptest.h"
+#include "topo/hierarchical.h"
 #include "topo/network_model.h"
 
 namespace swcaffe::topo {
@@ -238,6 +239,39 @@ TEST(WireBytesTest, CostCompressedIdentityForNone) {
   EXPECT_GT(cost_compressed(Compression::kInt8, 4096, net, fn).seconds, 0.0);
   EXPECT_LT(cost_compressed(Compression::kFp16, 1 << 26, net, fn).seconds,
             fn(1 << 26).seconds);  // wire saving beats codec passes at size
+}
+
+TEST(AllreduceCostTest, PricesEachAlgorithmAtItsPlacementBehindTheCodec) {
+  // allreduce_cost is the single pricing entry point; pin its dispatch:
+  // which analytic collective, at which placement, with which server count.
+  const NetParams net = sunway_network();
+  Topology topo;
+  topo.num_nodes = 1024;
+  const std::int64_t raw = 232'600'000;
+  for (Compression c :
+       {Compression::kNone, Compression::kFp16, Compression::kInt8}) {
+    const std::int64_t wire = wire_bytes(c, raw);
+    const double codec = codec_seconds(c, raw, net);
+    const auto expect_price = [&](AllreduceAlgo algo, int servers,
+                                  const CostBreakdown& raw_cost) {
+      const CostBreakdown got =
+          allreduce_cost(algo, c, raw, topo, net, servers);
+      EXPECT_EQ(got.seconds, raw_cost.seconds + codec)
+          << allreduce_algo_name(algo) << " " << compression_name(c);
+      EXPECT_EQ(got.alpha_terms, raw_cost.alpha_terms);
+      EXPECT_EQ(got.beta2_bytes, raw_cost.beta2_bytes);
+    };
+    expect_price(AllreduceAlgo::kRhdAdjacent, 1,
+                 cost_rhd(wire, topo, net, Placement::kAdjacent));
+    expect_price(AllreduceAlgo::kRhdRoundRobin, 1,
+                 cost_rhd(wire, topo, net, Placement::kRoundRobin));
+    expect_price(AllreduceAlgo::kRing, 1,
+                 cost_ring(wire, topo, net, Placement::kAdjacent));
+    expect_price(AllreduceAlgo::kParamServer, 4,
+                 cost_param_server(wire, topo, net, 4));
+    expect_price(AllreduceAlgo::kHierarchical, 1,
+                 cost_hierarchical(wire, topo, net));
+  }
 }
 
 TEST(NamesTest, RoundTrip) {

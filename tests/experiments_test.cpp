@@ -8,6 +8,7 @@
 #include "fixtures.h"
 #include "hw/cost_model.h"
 #include "parallel/ssgd.h"
+#include "parallel/sweep.h"
 #include "perfmodel/device_model.h"
 #include "swdnn/conv_plan.h"
 #include "swdnn/layer_estimate.h"
@@ -137,6 +138,19 @@ TEST(Fig9, FirstVggConvsLagGpuMost) {
 
 // --- Figs. 10/11 -----------------------------------------------------------------
 
+/// One Fig. 10/11 point at 1024 nodes, priced as a single-series sweep.
+parallel::ScalePoint point_at_1024(const hw::CostModel& cost,
+                                   std::vector<core::LayerDesc> descs_per_cg,
+                                   std::int64_t param_bytes,
+                                   const parallel::SsgdOptions& opt) {
+  parallel::SweepSeries s;
+  s.descs_per_cg = std::move(descs_per_cg);
+  s.param_bytes = param_bytes;
+  s.options = opt;
+  s.node_counts = {1024};
+  return parallel::scalability_sweep(cost, {s}, 1)[0].points[0];
+}
+
 TEST(Fig10, SpeedupBandsMatchPaper) {
   // Paper: AlexNet speedups at 1024 nodes: 715x (B=256), 562x (B=128),
   // 410x (B=64); ResNet-50: 928x (B=32), 828x (B=64).
@@ -144,10 +158,9 @@ TEST(Fig10, SpeedupBandsMatchPaper) {
   parallel::SsgdOptions opt;  // rhd + round-robin, q=256
   auto speedup_at_1024 = [&](const core::NetSpec& quarter,
                              std::int64_t param_bytes) {
-    const auto descs = core::describe_net_spec(quarter);
-    const auto curve = parallel::scalability_curve(cost, descs, param_bytes,
-                                                   opt, {1024});
-    return curve[0].speedup;
+    return point_at_1024(cost, core::describe_net_spec(quarter), param_bytes,
+                         opt)
+        .speedup;
   };
   const std::int64_t alex_bytes = fixtures::kAlexNetGradientBytes;
   const std::int64_t resnet_bytes = fixtures::kResNet50GradientBytes;
@@ -166,9 +179,8 @@ TEST(Fig11, CommunicationFractionsMatchPaper) {
   hw::CostModel cost;
   parallel::SsgdOptions opt;
   auto frac = [&](const core::NetSpec& quarter, std::int64_t bytes) {
-    const auto curve = parallel::scalability_curve(
-        cost, core::describe_net_spec(quarter), bytes, opt, {1024});
-    return curve[0].comm_fraction;
+    return point_at_1024(cost, core::describe_net_spec(quarter), bytes, opt)
+        .comm_fraction;
   };
   const double alex64 = frac(core::alexnet_bn(16), fixtures::kAlexNetGradientBytes);
   const double alex256 = frac(core::alexnet_bn(64), fixtures::kAlexNetGradientBytes);
@@ -247,11 +259,11 @@ TEST(Fig7Ablation, RoundRobinBeatsAdjacentAtScale) {
   parallel::SsgdOptions adj, rr;
   adj.algo = parallel::AllreduceAlgo::kRhdAdjacent;
   rr.algo = parallel::AllreduceAlgo::kRhdRoundRobin;
-  const auto c_adj = parallel::scalability_curve(cost, descs, fixtures::kAlexNetGradientBytes, adj,
-                                                 {1024});
-  const auto c_rr = parallel::scalability_curve(cost, descs, fixtures::kAlexNetGradientBytes, rr,
-                                                {1024});
-  EXPECT_GT(c_rr[0].speedup, 1.5 * c_adj[0].speedup);
+  const auto p_adj =
+      point_at_1024(cost, descs, fixtures::kAlexNetGradientBytes, adj);
+  const auto p_rr =
+      point_at_1024(cost, descs, fixtures::kAlexNetGradientBytes, rr);
+  EXPECT_GT(p_rr.speedup, 1.5 * p_adj.speedup);
 }
 
 }  // namespace

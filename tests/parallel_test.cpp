@@ -12,6 +12,7 @@
 #include "fixtures.h"
 #include "parallel/node_runner.h"
 #include "parallel/ssgd.h"
+#include "parallel/sweep.h"
 #include "topo/allreduce.h"
 
 namespace swcaffe::parallel {
@@ -542,12 +543,23 @@ TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
   EXPECT_EQ(one.load(), 1);
 }
 
+/// The AlexNet B=256 Fig. 10/11 curve under `opt` at `nodes`, priced as a
+/// single-series sweep.
+std::vector<ScalePoint> alexnet_curve(const hw::CostModel& cost,
+                                      const SsgdOptions& opt,
+                                      const std::vector<int>& nodes) {
+  SweepSeries s;
+  s.descs_per_cg = fixtures::alexnet_per_cg_descs();  // B/4
+  s.param_bytes = fixtures::kAlexNetGradientBytes;
+  s.options = opt;
+  s.node_counts = nodes;
+  return scalability_sweep(cost, {s}, 1)[0].points;
+}
+
 TEST(ScalabilityTest, SpeedupGrowsAndCommFractionRises) {
   hw::CostModel cost;
-  const auto descs = fixtures::alexnet_per_cg_descs();  // B/4
   SsgdOptions opt;
-  const auto curve = scalability_curve(cost, descs, fixtures::kAlexNetGradientBytes,
-                                       opt, {1, 4, 16, 64, 256, 1024});
+  const auto curve = alexnet_curve(cost, opt, {1, 4, 16, 64, 256, 1024});
   ASSERT_EQ(curve.size(), 6u);
   for (std::size_t i = 1; i < curve.size(); ++i) {
     EXPECT_GT(curve[i].speedup, curve[i - 1].speedup);
@@ -560,10 +572,8 @@ TEST(ScalabilityTest, SpeedupGrowsAndCommFractionRises) {
 
 TEST(ScalabilityTest, SingleBucketOverlapReproducesSerialModel) {
   hw::CostModel cost;
-  const auto descs = fixtures::alexnet_per_cg_descs();
   SsgdOptions opt;  // buckets = 1
-  const auto curve = scalability_curve(
-      cost, descs, fixtures::kAlexNetGradientBytes, opt, {4, 64, 1024});
+  const auto curve = alexnet_curve(cost, opt, {4, 64, 1024});
   for (const auto& pt : curve) {
     // Degenerate contract: one bucket means the collective starts exactly
     // at the compute end, so the overlapped time IS the serial time.
@@ -576,12 +586,9 @@ TEST(ScalabilityTest, SingleBucketOverlapReproducesSerialModel) {
 
 TEST(ScalabilityTest, OverlappedSeriesNeverSlowerAndHidesCommAtScale) {
   hw::CostModel cost;
-  const auto descs = fixtures::alexnet_per_cg_descs();
   SsgdOptions opt;
   opt.buckets = 8;
-  const auto curve = scalability_curve(cost, descs,
-                                       fixtures::kAlexNetGradientBytes, opt,
-                                       {4, 16, 64, 256, 1024});
+  const auto curve = alexnet_curve(cost, opt, {4, 16, 64, 256, 1024});
   for (const auto& pt : curve) {
     EXPECT_GT(pt.buckets, 1) << pt.nodes;
     // Overlap can only help: the bucketed finish never exceeds serial, and
@@ -607,19 +614,14 @@ TEST(ScalabilityTest, HierarchicalCompressedNearLinearAtFullMachine) {
   // near-linear all the way to 40,960 nodes, where the flat algorithm has
   // fallen off the linear trend.
   hw::CostModel cost;
-  const auto descs = fixtures::alexnet_per_cg_descs();
   SsgdOptions flat;
   flat.buckets = 8;
   SsgdOptions hier = flat;
   hier.algo = AllreduceAlgo::kHierarchical;
   hier.compression = topo::Compression::kInt8;
   const std::vector<int> nodes = {1024, 4096, 40960};
-  const auto c_flat = scalability_curve(cost, descs,
-                                        fixtures::kAlexNetGradientBytes, flat,
-                                        nodes);
-  const auto c_hier = scalability_curve(cost, descs,
-                                        fixtures::kAlexNetGradientBytes, hier,
-                                        nodes);
+  const auto c_flat = alexnet_curve(cost, flat, nodes);
+  const auto c_hier = alexnet_curve(cost, hier, nodes);
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     EXPECT_LE(c_hier[i].overlap_s, c_flat[i].overlap_s + 1e-12)
         << nodes[i] << " nodes";
@@ -633,13 +635,10 @@ TEST(ScalabilityTest, HierarchicalCompressedNearLinearAtFullMachine) {
 
 TEST(ScalabilityTest, Int8RingRejectedBeforePricing) {
   hw::CostModel cost;
-  const auto descs = fixtures::alexnet_per_cg_descs();
   SsgdOptions opt;
   opt.algo = AllreduceAlgo::kRing;
   opt.compression = topo::Compression::kInt8;
-  EXPECT_THROW(scalability_curve(cost, descs,
-                                 fixtures::kAlexNetGradientBytes, opt, {64}),
-               base::CheckError);
+  EXPECT_THROW(alexnet_curve(cost, opt, {64}), base::CheckError);
 }
 
 }  // namespace

@@ -533,8 +533,9 @@ TEST(TimingOnlyTrainerTest, FunctionalPhasesThrowAndPrototypeIsSingle) {
 }
 
 // ---------------------------------------------------------------------------
-// Sweep: bit-identity to scalability_curve, across thread counts, for the
-// full Fig. 10/11 configurations (AlexNet / VGG-16 / ResNet-50, overlapped /
+// Sweep: bit-identity between the threaded full sweep and serial
+// single-series sweeps, and across thread counts, for the full Fig. 10/11
+// configurations (AlexNet / VGG-16 / ResNet-50, overlapped /
 // hierarchical / compressed, 4..1024 nodes and the 40,960-node point).
 // ---------------------------------------------------------------------------
 
@@ -590,17 +591,19 @@ std::vector<SweepSeries> paper_sweep() {
   return series;
 }
 
-TEST(ScalabilitySweepTest, MatchesScalabilityCurveBitwise) {
+TEST(ScalabilitySweepTest, FullSweepMatchesSingleSeriesSweepsBitwise) {
+  // Batching series into one threaded sweep must not leak state across
+  // series: each series re-priced on its own, serially, is bit-identical.
   const hw::CostModel cost;
   const std::vector<SweepSeries> series = paper_sweep();
   const std::vector<SweepResult> swept = scalability_sweep(cost, series, 4);
   ASSERT_EQ(swept.size(), series.size());
   for (std::size_t s = 0; s < series.size(); ++s) {
     EXPECT_EQ(swept[s].label, series[s].label);
-    const std::vector<ScalePoint> curve = scalability_curve(
-        cost, series[s].descs_per_cg, series[s].param_bytes,
-        series[s].options, series[s].node_counts, series[s].conv_overrides);
-    expect_same_points(swept[s].points, curve);
+    const std::vector<SweepResult> single =
+        scalability_sweep(cost, {series[s]}, 1);
+    ASSERT_EQ(single.size(), 1u);
+    expect_same_points(swept[s].points, single[0].points);
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include "base/log.h"
 #include "base/rng.h"
+#include "check/rules.h"
 #include "topo/allreduce.h"
 #include "topo/network_model.h"
 #include "topo/topology.h"
@@ -368,6 +369,43 @@ TEST(AllreducePayloadTest, NegativePayloadIsRejectedWithDiagnostic) {
     // The diagnostic names the offending size so the caller can find it.
     EXPECT_NE(std::string(e.what()).find("-7"), std::string::npos) << e.what();
   }
+}
+
+TEST(AllreduceAlgoNamesTest, NameContractRoundTripsAndFeedsTheCommRule) {
+  // from_name(name(a)) == a for every collective.
+  for (AllreduceAlgo a : kAllreduceAlgos) {
+    AllreduceAlgo back = a == AllreduceAlgo::kRing
+                             ? AllreduceAlgo::kHierarchical
+                             : AllreduceAlgo::kRing;
+    EXPECT_TRUE(allreduce_algo_from_name(allreduce_algo_name(a), &back))
+        << allreduce_algo_name(a);
+    EXPECT_EQ(back, a) << allreduce_algo_name(a);
+  }
+  // Unknown, empty and null names are rejected and leave *out untouched.
+  for (const char* bad :
+       std::initializer_list<const char*>{"butterfly", "", "RING", "rhd",
+                                          nullptr}) {
+    AllreduceAlgo out = AllreduceAlgo::kParamServer;
+    EXPECT_FALSE(allreduce_algo_from_name(bad, &out)) << (bad ? bad : "null");
+    EXPECT_EQ(out, AllreduceAlgo::kParamServer);
+  }
+  // swcheck's comm rule takes its name list from the enum: it accepts every
+  // canonical name and rejects one outside the list.
+  const auto comm_report = [](const std::string& algorithm) {
+    check::CommPlan plan;
+    plan.name = "names";
+    plan.algorithm = algorithm;
+    plan.num_nodes = 64;
+    plan.raw_bytes = 1 << 20;
+    check::Report report;
+    check::check_comm(plan, check::Options{}, plan.name, &report);
+    return report;
+  };
+  for (AllreduceAlgo a : kAllreduceAlgos) {
+    const check::Report report = comm_report(allreduce_algo_name(a));
+    EXPECT_TRUE(report.empty()) << report.summary();
+  }
+  EXPECT_TRUE(comm_report("butterfly").has(check::Code::kGeomInvalid));
 }
 
 }  // namespace

@@ -368,7 +368,7 @@ TEST(CommTuneTest, BaselineCandidateIsAlwaysFirstLegalAndSingleBucket) {
   const CommChoice choice = tune_comm(w.bwd, w.compute_s, w.bytes, 64);
   ASSERT_FALSE(choice.candidates.empty());
   const CommCandidate& base = choice.candidates.front();
-  EXPECT_EQ(base.algorithm, "rhd-round-robin");
+  EXPECT_EQ(base.algorithm, topo::AllreduceAlgo::kRhdRoundRobin);
   EXPECT_EQ(base.compression, topo::Compression::kNone);
   EXPECT_EQ(base.buckets, 1);
   EXPECT_TRUE(base.legal);
@@ -400,23 +400,24 @@ TEST(CommTuneTest, IllegalCombosAreRecordedButNeverPriced) {
   for (const CommCandidate& c : choice.candidates) {
     const bool int8_multi_hop =
         c.compression == topo::Compression::kInt8 &&
-        (c.algorithm == "ring" || c.algorithm == "param-server");
+        (c.algorithm == topo::AllreduceAlgo::kRing ||
+         c.algorithm == topo::AllreduceAlgo::kParamServer);
     if (!c.legal) {
       ++rejected;
       // Only the int8 x multi-hop combos are illegal, and a rejected
       // candidate carries no price.
-      EXPECT_TRUE(int8_multi_hop) << c.algorithm;
+      EXPECT_TRUE(int8_multi_hop) << topo::allreduce_algo_name(c.algorithm);
       EXPECT_EQ(c.finish_s, 0.0);
     } else {
-      EXPECT_FALSE(int8_multi_hop) << c.algorithm;
+      EXPECT_FALSE(int8_multi_hop) << topo::allreduce_algo_name(c.algorithm);
       EXPECT_GT(c.finish_s, 0.0);
     }
   }
   EXPECT_GT(rejected, 0);
   // The winner is never one of the rejected shapes.
   EXPECT_FALSE(choice.compression == topo::Compression::kInt8 &&
-               (choice.algorithm == "ring" ||
-                choice.algorithm == "param-server"));
+               (choice.algorithm == topo::AllreduceAlgo::kRing ||
+                choice.algorithm == topo::AllreduceAlgo::kParamServer));
 }
 
 TEST(CommTuneTest, DeterministicAcrossReruns) {
@@ -440,7 +441,7 @@ TEST(CommTuneTest, HierarchicalWinsAtFullMachineScale) {
   // paper baseline by a wide margin, not a rounding error.
   const CommWorkload w;
   const CommChoice choice = tune_comm(w.bwd, w.compute_s, w.bytes, 40960);
-  EXPECT_EQ(choice.algorithm, "hierarchical");
+  EXPECT_EQ(choice.algorithm, topo::AllreduceAlgo::kHierarchical);
   EXPECT_LT(choice.overlapped_s, 0.5 * choice.baseline_s);
 }
 
