@@ -3,7 +3,9 @@
 // columns as the paper (forward / weight-diff backward / in-diff backward
 // times per strategy, plus achieved Gflops of the chosen plan) and the
 // per-row paper values for side-by-side comparison.
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -12,6 +14,7 @@
 #include "bench_json.h"
 #include "core/layer_desc.h"
 #include "hw/cost_model.h"
+#include "paper_table2.h"
 #include "swdnn/conv_plan.h"
 
 using namespace swcaffe;
@@ -19,13 +22,6 @@ using base::TablePrinter;
 using base::fmt;
 
 namespace {
-
-struct Row {
-  const char* name;
-  int ni, no, img;
-  // Paper Table II values (seconds; -1 = not supported, 0 = NA).
-  double p_fwd_imp, p_fwd_exp, p_wd_imp, p_wd_exp, p_id_imp, p_id_exp;
-};
 
 std::string cell(double v) {
   if (v < 0) return "-";
@@ -36,22 +32,6 @@ std::string cell(double v) {
 
 int main(int argc, char** argv) {
   bench::JsonBench json("bench_conv_vgg", argc, argv);
-  const Row rows[] = {
-      {"1_1", 3, 64, 224, -1, 4.19, -1, 1.10, 0, 0},
-      {"1_2", 64, 64, 224, 4.30, 7.79, -1, 5.22, -1, 14.97},
-      {"2_1", 64, 128, 112, 1.63, 2.45, -1, 1.33, -1, 3.61},
-      {"2_2", 128, 128, 112, 2.34, 3.14, 2.26, 2.25, 2.39, 6.11},
-      {"3_1", 128, 256, 56, 1.06, 0.73, 0.92, 0.68, 0.95, 1.69},
-      {"3_2", 256, 256, 56, 1.79, 1.14, 1.56, 1.29, 1.82, 3.05},
-      {"3_3", 256, 256, 56, 1.79, 1.14, 1.56, 1.27, 1.82, 3.03},
-      {"4_1", 256, 512, 28, 0.84, 0.69, 0.70, 0.71, 0.85, 0.95},
-      {"4_2", 512, 512, 28, 1.68, 1.33, 1.27, 1.33, 1.75, 1.89},
-      {"4_3", 512, 512, 28, 1.68, 1.33, 1.27, 1.67, 1.75, 1.87},
-      {"5_1", 512, 512, 14, 0.40, 0.62, 0.31, 0.65, 0.43, 0.80},
-      {"5_2", 512, 512, 14, 0.40, 0.63, 0.31, 0.78, 0.43, 0.84},
-      {"5_3", 512, 512, 14, 0.40, 0.63, 0.31, 0.65, 0.43, 0.84},
-  };
-
   hw::CostModel cost;
   std::printf("=== Table II: VGG-16 conv layers, batch 128, one core group "
               "===\n");
@@ -61,7 +41,11 @@ int main(int argc, char** argv) {
                   "wdiff imp", "wdiff exp", "idiff imp", "idiff exp",
                   "Gflops(best fwd)"});
   int winner_matches = 0, winner_total = 0;
-  for (const auto& r : rows) {
+  auto rows = paper::table2();
+  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+    return std::strcmp(a.name, b.name) < 0;
+  });
+  for (const paper::Table2Row& r : rows) {
     core::ConvGeom g;
     g.batch = 128;
     g.in_c = r.ni;
@@ -71,28 +55,28 @@ int main(int argc, char** argv) {
     g.stride = 1;
     g.pad = 1;
     const auto est = dnn::estimate_conv(cost, g);
-    const bool first = std::string(r.name) == "1_1";
+    const std::string key = r.name;
+    const bool first = key == "conv1_1";
     auto pair = [](double ours, double paper) {
       return (ours < 0 ? std::string("-") : fmt(ours, 2)) + " (" +
              cell(paper) + ")";
     };
-    t.add_row({r.name, std::to_string(r.ni), std::to_string(r.no),
+    t.add_row({key.substr(4), std::to_string(r.ni), std::to_string(r.no),
                std::to_string(r.img),
-               pair(est.forward.implicit_s, r.p_fwd_imp),
-               pair(est.forward.explicit_s, r.p_fwd_exp),
-               pair(est.backward_weight.implicit_s, r.p_wd_imp),
-               pair(est.backward_weight.explicit_s, r.p_wd_exp),
-               first ? "NA" : pair(est.backward_input.implicit_s, r.p_id_imp),
-               first ? "NA" : pair(est.backward_input.explicit_s, r.p_id_exp),
+               pair(est.forward.implicit_s, r.fwd_imp),
+               pair(est.forward.explicit_s, r.fwd_exp),
+               pair(est.backward_weight.implicit_s, r.wd_imp),
+               pair(est.backward_weight.explicit_s, r.wd_exp),
+               first ? "NA" : pair(est.backward_input.implicit_s, r.id_imp),
+               first ? "NA" : pair(est.backward_input.explicit_s, r.id_exp),
                fmt(est.gflops_fwd, 1)});
-    const std::string key = std::string("conv") + r.name;
     json.metric(key + "_fwd_implicit_s", est.forward.implicit_s);
     json.metric(key + "_fwd_explicit_s", est.forward.explicit_s);
     json.metric(key + "_gflops_fwd", est.gflops_fwd);
     // Did the forward winner match the paper's winner?
-    if (r.p_fwd_imp > 0) {
+    if (r.fwd_imp > 0) {
       ++winner_total;
-      const bool paper_implicit_wins = r.p_fwd_imp < r.p_fwd_exp;
+      const bool paper_implicit_wins = r.fwd_imp < r.fwd_exp;
       if (est.forward.implicit_wins() == paper_implicit_wins) ++winner_matches;
     }
   }

@@ -12,6 +12,9 @@
 // server that coalesces requests into batches of up to --max-batch, holding
 // the oldest request at most --max-delay ms; requests whose conservative
 // completion bound misses the --slo deadline are rejected at arrival.
+// Without --slo the deadline is bench_serving's rule over the priced batch
+// table, 3 * f(max-batch) + f(1): three worst-case batches plus the
+// formation wait, so an under-subscribed server admits everything.
 // Forward passes are priced by the calibrated SW26010 cost model; --tune
 // selects swtune plans per batch size (persisted via --plan-cache, shared
 // with swcaffe_time/swcaffe_tune). --trace writes a Chrome trace with the
@@ -21,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "../bench/bench_json.h"
@@ -92,7 +96,7 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   int max_batch = 8;
   double max_delay_ms = 2.0;
-  double slo_ms = 50.0;
+  std::optional<double> slo_ms;  // unset: derived from the batch table
   bool admission = true;
   bool tune = false;
   std::string plan_cache;
@@ -172,7 +176,9 @@ int main(int argc, char** argv) {
   sopts.batcher.max_batch = max_batch;
   sopts.batcher.max_delay_s = max_delay_ms * 1e-3;
   sopts.admission.enabled = admission;
-  sopts.admission.slo_s = slo_ms * 1e-3;
+  sopts.admission.slo_s =
+      slo_ms ? *slo_ms * 1e-3
+             : 3.0 * engine.batch_time(max_batch) + engine.batch_time(1);
   sopts.tracer = trace_path.empty() ? nullptr : &tracer;
   const serve::ServeResult res =
       serve::simulate_serving(engine, arrivals, sopts);

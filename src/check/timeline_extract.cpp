@@ -538,8 +538,8 @@ TimelineGraph timeline_from_events(const std::string& name,
     ev.name = e->name;
     ev.actor = e->actor;
     ev.resource = e->resource;
-    ev.start_s = e->time_s;
-    ev.end_s = e->end_s();
+    ev.start_s = e->begin_s;
+    ev.end_s = e->end_s;
     ev.bytes = e->bytes;
     g.add_event(std::move(ev));
   }

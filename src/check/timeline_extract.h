@@ -131,7 +131,7 @@ TimelineGraph timeline_from_ef(const std::string& name, int iters,
 /// vocabulary needs no per-subsystem re-derivation. `actors` / `resources`
 /// name the graph's lanes and exclusive resources (every event's ids must be
 /// in range); events are laid out in the vocabulary's documented total order
-/// (time_s, actor, seq) so each actor's program order is its time order.
+/// (begin_s, actor, seq) so each actor's program order is its time order.
 /// Instants become point events. The graph carries whatever the log saw —
 /// edges/ledgers/deadlines are the caller's to add before verifying.
 TimelineGraph timeline_from_events(const std::string& name,

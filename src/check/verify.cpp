@@ -7,6 +7,7 @@
 #include "check/timeline.h"
 #include "check/timeline_extract.h"
 #include "swdnn/conv_plan.h"
+#include "topo/hierarchical.h"
 
 namespace swcaffe::check {
 
@@ -329,14 +330,21 @@ Report verify_net(const hw::CostModel& cost,
 
 namespace {
 
-/// True when the two-level hierarchy engages (mirrors
-/// topo::hierarchical_applicable without re-stating it: the runtime falls
-/// back to flat RHD for everything else, so the checker must judge the
-/// schedule that would actually run).
-bool hier_engages(int num_nodes, int supernode_size) {
-  return num_nodes > supernode_size && supernode_size >= 2 &&
-         num_nodes % supernode_size == 0 &&
-         (supernode_size & (supernode_size - 1)) == 0;
+/// Checks each phase of the engaged two-level all-reduce, then the composed
+/// local-RS -> inter-RHD -> local-AG stream: it must stay race- and
+/// cycle-free when every rank runs the phases back to back (FIFO matching
+/// spans the whole composition).
+void check_hierarchical_phases(int num_nodes, int supernode_size,
+                               const Options& opts, const std::string& layer,
+                               Report* report) {
+  const hw::HwParams hp;
+  const std::vector<CommSchedule> phases =
+      hierarchical_allreduce_phases(num_nodes, supernode_size);
+  for (const CommSchedule& phase : phases) {
+    check_schedule(phase, hp, opts, layer, report);
+  }
+  report->merge(
+      verify_timeline(timeline_from_comm(layer + "-phases", phases, hp)));
 }
 
 }  // namespace
@@ -358,25 +366,17 @@ Report verify_allreduce(topo::AllreduceAlgo algo, int num_nodes,
       check_schedule(rhd_allreduce_schedule(num_nodes), hp, opts, layer,
                      &report);
       break;
-    case topo::AllreduceAlgo::kHierarchical: {
-      if (!hier_engages(num_nodes, supernode_size)) {
-        // Fallback geometry: the runtime runs flat RHD, so check that.
+    case topo::AllreduceAlgo::kHierarchical:
+      // The runtime falls back to flat RHD when the hierarchy does not
+      // engage, so the checker judges the schedule that would actually run.
+      if (topo::hierarchical_applicable({num_nodes, supernode_size})) {
+        check_hierarchical_phases(num_nodes, supernode_size, opts, layer,
+                                  &report);
+      } else {
         check_schedule(rhd_allreduce_schedule(num_nodes), hp, opts, layer,
                        &report);
-        break;
       }
-      const std::vector<CommSchedule> phases =
-          hierarchical_allreduce_phases(num_nodes, supernode_size);
-      for (const CommSchedule& phase : phases) {
-        check_schedule(phase, hp, opts, layer, &report);
-      }
-      // Phase ordering: the composed local-RS -> inter-RHD -> local-AG
-      // stream must stay race- and cycle-free when every rank runs the
-      // phases back to back (FIFO matching spans the whole composition).
-      report.merge(
-          verify_timeline(timeline_from_comm(layer + "-phases", phases, hp)));
       break;
-    }
     case topo::AllreduceAlgo::kRing:
       check_schedule(ring_allreduce_schedule(num_nodes), hp, opts, layer,
                      &report);
@@ -411,15 +411,10 @@ Report verify_comm(const CommPlan& plan, const Options& opts) {
   const bool hierarchical =
       topo::allreduce_algo_from_name(plan.algorithm.c_str(), &algo) &&
       algo == topo::AllreduceAlgo::kHierarchical;
-  if (hierarchical && hier_engages(plan.num_nodes, plan.supernode_size)) {
-    const hw::HwParams hp;
-    const std::vector<CommSchedule> phases =
-        hierarchical_allreduce_phases(plan.num_nodes, plan.supernode_size);
-    for (const CommSchedule& phase : phases) {
-      check_schedule(phase, hp, opts, layer, &report);
-    }
-    report.merge(
-        verify_timeline(timeline_from_comm(layer + "-phases", phases, hp)));
+  if (hierarchical && topo::hierarchical_applicable(
+                          {plan.num_nodes, plan.supernode_size})) {
+    check_hierarchical_phases(plan.num_nodes, plan.supernode_size, opts, layer,
+                              &report);
   }
   return report;
 }

@@ -15,10 +15,6 @@ namespace swcaffe::trace {
 class Tracer;
 }  // namespace swcaffe::trace
 
-namespace swcaffe::sim {
-class EventLog;
-}  // namespace swcaffe::sim
-
 namespace swcaffe::hw {
 
 /// Accumulated traffic and simulated time of a kernel or plan.
@@ -58,19 +54,6 @@ class CostModel {
   trace::Tracer* tracer() const { return tracer_; }
   int trace_track() const { return trace_track_; }
 
-  /// Attaches an optional swsim event log, the tracer's structured twin:
-  /// every charge the functional engines (DmaEngine, RlcFabric) price is
-  /// also recorded as a sim::Event on `actor`, stamped at the engine's
-  /// local elapsed clock, so a swsched timeline can be extracted straight
-  /// from what ran (check::timeline_from_events). Null (the default)
-  /// disables logging; attaching a log never changes any priced time.
-  void set_event_log(sim::EventLog* log, int actor = 0) {
-    event_log_ = log;
-    event_actor_ = actor;
-  }
-  sim::EventLog* event_log() const { return event_log_; }
-  int event_actor() const { return event_actor_; }
-
   // --- DMA ------------------------------------------------------------------
   /// Time for `n_cpes` CPEs to each move `bytes_per_cpe` contiguous bytes
   /// between main memory and their LDMs (concurrently, sharing the memory
@@ -108,8 +91,6 @@ class CostModel {
   HwParams params_;
   trace::Tracer* tracer_ = nullptr;
   int trace_track_ = 0;
-  sim::EventLog* event_log_ = nullptr;
-  int event_actor_ = 0;
 };
 
 }  // namespace swcaffe::hw

@@ -3,29 +3,25 @@
 #include <algorithm>
 
 #include "base/log.h"
-#include "sim/event.h"
 #include "trace/tracer.h"
 
 namespace swcaffe::hw {
 
 namespace {
 
-/// Mirrors one charged transfer into the tracer and/or swsim event log
-/// attached to the cost model (if any): a "hw.dma" span of the charged
-/// duration carrying the byte counters, stamped at `start_s` on the
-/// engine's local elapsed clock. Purely observational — ledgers and times
-/// are computed first and are identical with both sinks off.
+/// Records one charged transfer in the tracer attached to the cost model
+/// (if any): a "hw.dma" span of the charged duration carrying the byte
+/// counters, on the tracer's track clock (which equals the engine's local
+/// elapsed clock when the tracer sees only this engine). Purely
+/// observational — ledgers and times are computed first and are identical
+/// with tracing off.
 void trace_transfer(const CostModel& cost, const char* name, bool is_get,
-                    std::size_t bytes, double start_s, double seconds) {
-  if (sim::EventLog* log = cost.event_log()) {
-    log->charge(cost.event_actor(), start_s, seconds,
-                static_cast<std::int64_t>(bytes), name);
-  }
+                    std::size_t bytes, double seconds) {
   trace::Tracer* tracer = cost.tracer();
   if (!tracer) return;
   const int track = cost.trace_track();
   tracer->begin_span(track, name, "hw.dma");
-  trace::TrafficCounters c;
+  sim::TrafficCounters c;
   (is_get ? c.dma_get_bytes : c.dma_put_bytes) = bytes;
   tracer->charge(track, c);
   tracer->end_span(track, seconds);
@@ -40,11 +36,9 @@ void DmaEngine::get(std::span<const double> src, std::span<double> dst,
   const std::size_t bytes = src.size() * sizeof(double);
   const std::size_t n = static_cast<std::size_t>(issues(bytes));
   const double seconds = degrade(cost_->dma_time(bytes, n_cpes)) * n;
-  const double start = ledger_.elapsed_s;
   ledger_.dma_get_bytes += bytes * n;
   ledger_.elapsed_s += seconds;
-  trace_transfer(*cost_, "dma.get", /*is_get=*/true, bytes * n, start,
-                 seconds);
+  trace_transfer(*cost_, "dma.get", /*is_get=*/true, bytes * n, seconds);
 }
 
 void DmaEngine::put(std::span<const double> src, std::span<double> dst,
@@ -54,11 +48,9 @@ void DmaEngine::put(std::span<const double> src, std::span<double> dst,
   const std::size_t bytes = src.size() * sizeof(double);
   const std::size_t n = static_cast<std::size_t>(issues(bytes));
   const double seconds = degrade(cost_->dma_time(bytes, n_cpes)) * n;
-  const double start = ledger_.elapsed_s;
   ledger_.dma_put_bytes += bytes * n;
   ledger_.elapsed_s += seconds;
-  trace_transfer(*cost_, "dma.put", /*is_get=*/false, bytes * n, start,
-                 seconds);
+  trace_transfer(*cost_, "dma.put", /*is_get=*/false, bytes * n, seconds);
 }
 
 void DmaEngine::get_strided(std::span<const double> src,
@@ -78,10 +70,9 @@ void DmaEngine::get_strided(std::span<const double> src,
       degrade(cost_->dma_strided_time(bytes, block_len * sizeof(double),
                                       n_cpes)) *
       n;
-  const double start = ledger_.elapsed_s;
   ledger_.dma_get_bytes += bytes * n;
   ledger_.elapsed_s += seconds;
-  trace_transfer(*cost_, "dma.get_strided", /*is_get=*/true, bytes * n, start,
+  trace_transfer(*cost_, "dma.get_strided", /*is_get=*/true, bytes * n,
                  seconds);
 }
 
@@ -101,11 +92,10 @@ void DmaEngine::put_strided(std::span<const double> src, std::span<double> dst,
       degrade(cost_->dma_strided_time(bytes, block_len * sizeof(double),
                                       n_cpes)) *
       n;
-  const double start = ledger_.elapsed_s;
   ledger_.dma_put_bytes += bytes * n;
   ledger_.elapsed_s += seconds;
   trace_transfer(*cost_, "dma.put_strided", /*is_get=*/false, bytes * n,
-                 start, seconds);
+                 seconds);
 }
 
 }  // namespace swcaffe::hw

@@ -1,26 +1,21 @@
 #include "hw/rlc.h"
 
 #include "base/log.h"
-#include "sim/event.h"
 #include "trace/tracer.h"
 
 namespace swcaffe::hw {
 
 namespace {
 
-/// Mirrors one charged RLC operation into the attached tracer and/or swsim
-/// event log (if any), stamped at `start_s` on the fabric's elapsed clock.
+/// Records one charged RLC operation as a "hw.rlc" span in the attached
+/// tracer (if any) on its track clock.
 void trace_rlc(const CostModel& cost, const char* name, std::size_t bytes,
-               double start_s, double seconds) {
-  if (sim::EventLog* log = cost.event_log()) {
-    log->charge(cost.event_actor(), start_s, seconds,
-                static_cast<std::int64_t>(bytes), name);
-  }
+               double seconds) {
   trace::Tracer* tracer = cost.tracer();
   if (!tracer) return;
   const int track = cost.trace_track();
   tracer->begin_span(track, name, "hw.rlc");
-  trace::TrafficCounters c;
+  sim::TrafficCounters c;
   c.rlc_bytes = bytes;
   tracer->charge(track, c);
   tracer->end_span(track, seconds);
@@ -52,10 +47,9 @@ void RlcFabric::row_broadcast(int row, int src_col,
     ledger_.rlc_bytes += bytes;
   }
   const double seconds = cost_.rlc_time(bytes, /*broadcast=*/true);
-  const double start = ledger_.elapsed_s;
   ledger_.elapsed_s += seconds;
-  trace_rlc(cost_, "rlc.row_broadcast",
-            bytes * (params_.mesh_cols - 1), start, seconds);
+  trace_rlc(cost_, "rlc.row_broadcast", bytes * (params_.mesh_cols - 1),
+            seconds);
 }
 
 void RlcFabric::col_broadcast(int src_row, int col,
@@ -68,10 +62,9 @@ void RlcFabric::col_broadcast(int src_row, int col,
     ledger_.rlc_bytes += bytes;
   }
   const double seconds = cost_.rlc_time(bytes, /*broadcast=*/true);
-  const double start = ledger_.elapsed_s;
   ledger_.elapsed_s += seconds;
-  trace_rlc(cost_, "rlc.col_broadcast",
-            bytes * (params_.mesh_rows - 1), start, seconds);
+  trace_rlc(cost_, "rlc.col_broadcast", bytes * (params_.mesh_rows - 1),
+            seconds);
 }
 
 void RlcFabric::send(int src_row, int src_col, int dst_row, int dst_col,
@@ -91,9 +84,8 @@ void RlcFabric::send(int src_row, int src_col, int dst_row, int dst_col,
   }
   ledger_.rlc_bytes += bytes;
   const double seconds = cost_.rlc_time(bytes, /*broadcast=*/false);
-  const double start = ledger_.elapsed_s;
   ledger_.elapsed_s += seconds;
-  trace_rlc(cost_, "rlc.send", bytes, start, seconds);
+  trace_rlc(cost_, "rlc.send", bytes, seconds);
 }
 
 std::vector<double> RlcFabric::receive_row(int row, int col) {

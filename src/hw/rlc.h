@@ -54,12 +54,6 @@ class RlcFabric {
     cost_.set_tracer(tracer, track);
   }
 
-  /// Attaches an optional swsim event log (see CostModel::set_event_log):
-  /// every charged RLC operation is recorded as a sim::Event on `actor`.
-  void set_event_log(sim::EventLog* log, int actor = 0) {
-    cost_.set_event_log(log, actor);
-  }
-
  private:
   struct Queues {
     std::deque<std::vector<double>> row;  // messages arriving over the row bus

@@ -249,35 +249,27 @@ const topo::CostBreakdown& SsgdTrainer::allreduce_bucket(
   }
 
   // The functional collective prices the RAW bytes it actually moves; with
-  // compression that span is discarded and re-priced at the wire bytes, so
-  // the tracer is suppressed here and the corrected span emitted manually.
-  trace::Tracer* tracer = comp == topo::Compression::kNone ? tracer_ : nullptr;
+  // compression that breakdown is replaced by the wire-byte pricing.
   topo::CostBreakdown& slot = last_comm_buckets_[b];
   switch (options_.algo) {
     case AllreduceAlgo::kRhdAdjacent:
     case AllreduceAlgo::kRhdRoundRobin:
-      slot = topo::allreduce_rhd(slices, topo_, options_.net, placement_,
-                                 tracer, trace_track_);
+      slot = topo::allreduce_rhd(slices, topo_, options_.net, placement_);
       break;
     case AllreduceAlgo::kRing:
-      slot = topo::allreduce_ring(slices, topo_, options_.net, placement_,
-                                  tracer, trace_track_);
+      slot = topo::allreduce_ring(slices, topo_, options_.net, placement_);
       break;
     case AllreduceAlgo::kParamServer:
       slot = topo::allreduce_param_server(slices, topo_, options_.net,
-                                          options_.param_servers, tracer,
-                                          trace_track_);
+                                          options_.param_servers);
       break;
     case AllreduceAlgo::kHierarchical:
-      slot = topo::allreduce_hierarchical(slices, topo_, options_.net, tracer,
-                                          trace_track_);
+      slot = topo::allreduce_hierarchical(slices, topo_, options_.net);
       break;
   }
-  if (comp != topo::Compression::kNone) {
-    slot = bucket_cost(buckets_[b].bytes);
-    topo::trace_allreduce(tracer_, trace_track_,
-                          topo::allreduce_span_name(options_.algo), slot);
-  }
+  if (comp != topo::Compression::kNone) slot = bucket_cost(buckets_[b].bytes);
+  topo::trace_allreduce(tracer_, trace_track_,
+                        topo::allreduce_span_name(options_.algo), slot);
   // Iteration totals: every bucket's collective is identical across
   // iterations, so summing the per-bucket slots is correct even when the
   // caller reduces buckets one at a time.

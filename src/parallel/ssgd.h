@@ -153,8 +153,9 @@ class SsgdTrainer {
     return last_comm_buckets_;
   }
 
-  /// Attaches an optional tracer: each step()'s all-reduce is recorded as a
-  /// "comm.allreduce" span with alpha/beta/gamma counters on `track`.
+  /// Attaches an optional tracer: each bucket's all-reduce is recorded once
+  /// (topo::trace_allreduce) as a "comm.allreduce" span with
+  /// alpha/beta/gamma counters on `track`.
   void set_tracer(trace::Tracer* tracer, int track = 0) {
     tracer_ = tracer;
     trace_track_ = track;

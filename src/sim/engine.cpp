@@ -56,8 +56,8 @@ double Engine::acquire(int resource, int actor, double ready_s,
   const double start = resources_[static_cast<std::size_t>(resource)].serve(
       ready_s, duration_s);
   Event e;
-  e.time_s = start;
-  e.duration_s = duration_s;
+  e.begin_s = start;
+  e.end_s = start + duration_s;
   e.actor = actor;
   e.resource = resource;
   e.bytes = bytes;
@@ -71,8 +71,8 @@ void Engine::record_span(int actor, double start_s, double duration_s,
                          std::string name, std::int64_t bytes,
                          EventKind kind) {
   Event e;
-  e.time_s = start_s;
-  e.duration_s = duration_s;
+  e.begin_s = start_s;
+  e.end_s = start_s + duration_s;
   e.actor = actor;
   e.bytes = bytes;
   e.kind = kind;

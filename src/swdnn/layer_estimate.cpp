@@ -37,7 +37,7 @@ std::size_t conv_col_bytes(const core::ConvGeom& g) {
 }
 
 void charge_flops(trace::Tracer* tr, int track, double flops) {
-  trace::TrafficCounters c;
+  sim::TrafficCounters c;
   c.flops = flops;
   tr->charge(track, c);
 }
@@ -45,7 +45,7 @@ void charge_flops(trace::Tracer* tr, int track, double flops) {
 /// One closed child span of `seconds` with optional byte/flop counters.
 void child_span(trace::Tracer* tr, int track, const char* name,
                 const char* category, double seconds,
-                const trace::TrafficCounters& c = {}) {
+                const sim::TrafficCounters& c = {}) {
   tr->begin_span(track, name, category);
   if (!c.empty()) tr->charge(track, c);
   tr->end_span(track, std::max(0.0, seconds));
@@ -73,14 +73,14 @@ void trace_layer(const hw::CostModel& cost, const core::LayerDesc& d,
   tr->begin_span(track, "fwd", "layer.phase");
   if (conv_phases) {
     const core::ConvGeom& g = d.conv;
-    trace::TrafficCounters flops;
+    sim::TrafficCounters flops;
     flops.flops = g.flops_fwd();
     if (conv->forward.implicit_wins()) {
       child_span(tr, track, "implicit_conv", "kernel.conv",
                  conv->forward.implicit_s, flops);
     } else {
       const double im2col_s = im2col_time(cost, g);
-      trace::TrafficCounters dma;
+      sim::TrafficCounters dma;
       dma.dma_get_bytes = conv_image_bytes(g);
       dma.dma_put_bytes = conv_col_bytes(g);
       child_span(tr, track, "im2col", "kernel.transform", im2col_s, dma);
@@ -97,14 +97,14 @@ void trace_layer(const hw::CostModel& cost, const core::LayerDesc& d,
   tr->begin_span(track, "bwd", "layer.phase");
   if (conv_phases) {
     const core::ConvGeom& g = d.conv;
-    trace::TrafficCounters flops;
+    sim::TrafficCounters flops;
     flops.flops = g.flops_bwd_weight();
     if (conv->backward_weight.implicit_wins()) {
       child_span(tr, track, "dW.implicit_conv", "kernel.conv",
                  conv->backward_weight.implicit_s, flops);
     } else {
       const double im2col_s = im2col_time(cost, g);
-      trace::TrafficCounters dma;
+      sim::TrafficCounters dma;
       dma.dma_get_bytes = conv_image_bytes(g);
       dma.dma_put_bytes = conv_col_bytes(g);
       child_span(tr, track, "dW.im2col", "kernel.transform", im2col_s, dma);
@@ -120,7 +120,7 @@ void trace_layer(const hw::CostModel& cost, const core::LayerDesc& d,
         const double col2im_s = col2im_time(cost, g);
         child_span(tr, track, "dX.gemm", "kernel.gemm",
                    conv->backward_input.explicit_s - col2im_s, flops);
-        trace::TrafficCounters dma;
+        sim::TrafficCounters dma;
         dma.dma_get_bytes = conv_col_bytes(g);
         dma.dma_put_bytes = conv_image_bytes(g);
         child_span(tr, track, "dX.col2im", "kernel.transform", col2im_s, dma);

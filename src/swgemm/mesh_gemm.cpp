@@ -21,7 +21,7 @@ void trace_mesh_gemm(const hw::CostModel& cost, const char* name,
   tracer->begin_span(track, name, "kernel.gemm");
 
   tracer->begin_span(track, "dma", "kernel.gemm.phase");
-  trace::TrafficCounters dma;
+  sim::TrafficCounters dma;
   dma.dma_get_bytes = stats.ledger.dma_get_bytes;
   dma.dma_put_bytes = stats.ledger.dma_put_bytes;
   tracer->charge(track, dma);
@@ -30,7 +30,7 @@ void trace_mesh_gemm(const hw::CostModel& cost, const char* name,
   const bool compute_bound = stats.compute_seconds >= stats.rlc_seconds;
   tracer->begin_span(track, compute_bound ? "compute(+rlc)" : "rlc(+compute)",
                      "kernel.gemm.phase");
-  trace::TrafficCounters crc;
+  sim::TrafficCounters crc;
   crc.rlc_bytes = stats.ledger.rlc_bytes;
   crc.flops = stats.ledger.flops;
   tracer->charge(track, crc);

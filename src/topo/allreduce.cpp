@@ -152,11 +152,11 @@ bool clamp_empty_payload(const char* algorithm, std::int64_t bytes) {
 
 }  // namespace
 
-void trace_allreduce(trace::Tracer* tracer, int track, const char* algorithm,
+void trace_allreduce(trace::Tracer* tracer, int track, std::string name,
                      const CostBreakdown& breakdown) {
-  if (!tracer) return;
-  tracer->begin_span(track, algorithm, "comm.allreduce");
-  trace::TrafficCounters c;
+  if (!tracer || breakdown.seconds == 0.0) return;
+  tracer->begin_span(track, std::move(name), "comm.allreduce");
+  sim::TrafficCounters c;
   c.net_bytes = static_cast<std::size_t>(breakdown.beta1_bytes +
                                          breakdown.beta2_bytes);
   tracer->charge(track, c);
@@ -168,8 +168,7 @@ void trace_allreduce(trace::Tracer* tracer, int track, const char* algorithm,
 }
 
 CostBreakdown cost_rhd(std::int64_t bytes, const Topology& topo,
-                       const NetParams& net, Placement placement,
-                       trace::Tracer* tracer, int trace_track) {
+                       const NetParams& net, Placement placement) {
   const int p = topo.num_nodes;
   CostBreakdown cost;
   if (clamp_empty_payload("allreduce.rhd", bytes)) return cost;
@@ -180,7 +179,6 @@ CostBreakdown cost_rhd(std::int64_t bytes, const Topology& topo,
     core.num_nodes = p2;
     cost = cost_rhd(bytes, core, net, placement);
     charge_fold(cost, topo, net, placement, bytes);
-    trace_allreduce(tracer, trace_track, "allreduce.rhd", cost);
     return cost;
   }
   const int steps = log2i(p);
@@ -198,7 +196,6 @@ CostBreakdown cost_rhd(std::int64_t bytes, const Topology& topo,
                 static_cast<double>(bytes) / (1 << (s + 1)),
                 /*reduce=*/false);
   }
-  trace_allreduce(tracer, trace_track, "allreduce.rhd", cost);
   return cost;
 }
 
@@ -217,16 +214,13 @@ std::vector<std::span<float>> as_spans(std::vector<std::vector<float>>& data) {
 
 CostBreakdown allreduce_rhd(std::vector<std::vector<float>>& data,
                             const Topology& topo, const NetParams& net,
-                            Placement placement, trace::Tracer* tracer,
-                            int trace_track) {
-  return allreduce_rhd(as_spans(data), topo, net, placement, tracer,
-                       trace_track);
+                            Placement placement) {
+  return allreduce_rhd(as_spans(data), topo, net, placement);
 }
 
 CostBreakdown allreduce_rhd(const std::vector<std::span<float>>& data,
                             const Topology& topo, const NetParams& net,
-                            Placement placement, trace::Tracer* tracer,
-                            int trace_track) {
+                            Placement placement) {
   const int p = static_cast<int>(data.size());
   SWC_CHECK_EQ(p, topo.num_nodes);
   const std::size_t n = data[0].size();
@@ -299,13 +293,11 @@ CostBreakdown allreduce_rhd(const std::vector<std::span<float>>& data,
   for (int i = 0; i < extra; ++i) {
     std::copy(data[2 * i].begin(), data[2 * i].end(), data[2 * i + 1].begin());
   }
-  return cost_rhd(static_cast<std::int64_t>(n) * 4, topo, net, placement,
-                  tracer, trace_track);
+  return cost_rhd(static_cast<std::int64_t>(n) * 4, topo, net, placement);
 }
 
 CostBreakdown cost_ring(std::int64_t bytes, const Topology& topo,
-                        const NetParams& net, Placement placement,
-                        trace::Tracer* tracer, int trace_track) {
+                        const NetParams& net, Placement placement) {
   const int p = topo.num_nodes;
   CostBreakdown cost;
   if (clamp_empty_payload("allreduce.ring", bytes)) return cost;
@@ -323,22 +315,18 @@ CostBreakdown cost_ring(std::int64_t bytes, const Topology& topo,
   cost.seconds = cost.alpha_terms * alpha +
                  cost.beta1_bytes * net.beta1() +
                  cost.gamma_bytes * net.gamma();
-  trace_allreduce(tracer, trace_track, "allreduce.ring", cost);
   return cost;
 }
 
 CostBreakdown allreduce_ring(std::vector<std::vector<float>>& data,
                              const Topology& topo, const NetParams& net,
-                             Placement placement, trace::Tracer* tracer,
-                             int trace_track) {
-  return allreduce_ring(as_spans(data), topo, net, placement, tracer,
-                        trace_track);
+                             Placement placement) {
+  return allreduce_ring(as_spans(data), topo, net, placement);
 }
 
 CostBreakdown allreduce_ring(const std::vector<std::span<float>>& data,
                              const Topology& topo, const NetParams& net,
-                             Placement placement, trace::Tracer* tracer,
-                             int trace_track) {
+                             Placement placement) {
   const int p = static_cast<int>(data.size());
   SWC_CHECK_EQ(p, topo.num_nodes);
   const std::size_t n = data[0].size();
@@ -380,13 +368,11 @@ CostBreakdown allreduce_ring(const std::vector<std::span<float>>& data,
                 data[r].begin() + block_lo(b));
     }
   }
-  return cost_ring(static_cast<std::int64_t>(n) * 4, topo, net, placement,
-                   tracer, trace_track);
+  return cost_ring(static_cast<std::int64_t>(n) * 4, topo, net, placement);
 }
 
 CostBreakdown cost_param_server(std::int64_t bytes, const Topology& topo,
-                                const NetParams& net, int servers,
-                                trace::Tracer* tracer, int trace_track) {
+                                const NetParams& net, int servers) {
   SWC_CHECK_GT(servers, 0);
   CostBreakdown cost;
   const int p = topo.num_nodes;
@@ -404,22 +390,18 @@ CostBreakdown cost_param_server(std::int64_t bytes, const Topology& topo,
   if (shard > static_cast<double>(net.eager_limit)) alpha += net.alpha_rendezvous;
   cost.seconds = 2 * alpha + cost.beta1_bytes * net.beta1() +
                  cost.gamma_bytes * net.gamma();
-  trace_allreduce(tracer, trace_track, "allreduce.param_server", cost);
   return cost;
 }
 
 CostBreakdown allreduce_param_server(std::vector<std::vector<float>>& data,
                                      const Topology& topo,
-                                     const NetParams& net, int servers,
-                                     trace::Tracer* tracer, int trace_track) {
-  return allreduce_param_server(as_spans(data), topo, net, servers, tracer,
-                                trace_track);
+                                     const NetParams& net, int servers) {
+  return allreduce_param_server(as_spans(data), topo, net, servers);
 }
 
 CostBreakdown allreduce_param_server(const std::vector<std::span<float>>& data,
                                      const Topology& topo,
-                                     const NetParams& net, int servers,
-                                     trace::Tracer* tracer, int trace_track) {
+                                     const NetParams& net, int servers) {
   const int p = static_cast<int>(data.size());
   SWC_CHECK_EQ(p, topo.num_nodes);
   const std::size_t n = data[0].size();
@@ -429,7 +411,7 @@ CostBreakdown allreduce_param_server(const std::vector<std::span<float>>& data,
   }
   for (const auto& v : data) std::copy(sum.begin(), sum.end(), v.begin());
   return cost_param_server(static_cast<std::int64_t>(n) * 4, topo, net,
-                           servers, tracer, trace_track);
+                           servers);
 }
 
 }  // namespace swcaffe::topo

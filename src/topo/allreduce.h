@@ -11,14 +11,16 @@
 //  * ring (Patarasuk & Yuan; rejected by the paper for its p*alpha latency)
 //  * parameter server push/pull (rejected for the single-port bottleneck)
 //
-// Every variant takes an optional trace::Tracer: when set, the call is
-// recorded as one "comm.allreduce" span of the breakdown's duration with the
-// per-node network volume charged and the alpha/beta1/beta2/gamma terms
-// emitted as counter samples (the Fig. 7 decomposition, machine-readable).
+// Pricing is pure. The caller that owns a collective records it once with
+// trace_allreduce: one "comm.allreduce" span of the breakdown's duration
+// with the per-node network volume charged and the alpha/beta1/beta2/gamma
+// terms emitted as counter samples (the Fig. 7 decomposition,
+// machine-readable).
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "topo/network_model.h"
@@ -62,8 +64,8 @@ bool allreduce_algo_from_name(const char* name, AllreduceAlgo* out);
 /// laid out exactly the way its collective expects to find the ranks.
 Placement placement_for(AllreduceAlgo algo);
 
-/// Tracer span name the functional variant of `algo` emits
-/// ("allreduce.rhd", "allreduce.ring", ...).
+/// Tracer span name of one `algo` all-reduce ("allreduce.rhd",
+/// "allreduce.ring", ...).
 const char* allreduce_span_name(AllreduceAlgo algo);
 
 /// Per-node cost decomposition in the paper's alpha/beta/gamma terms.
@@ -85,9 +87,11 @@ struct CostBreakdown {
   }
 };
 
-/// Records one finished all-reduce in `tracer` (no-op when null): a span of
-/// `breakdown.seconds` named `algorithm` plus alpha/beta/gamma counters.
-void trace_allreduce(trace::Tracer* tracer, int track, const char* algorithm,
+/// Records one finished all-reduce in `tracer` at its track clock: a span of
+/// `breakdown.seconds` named `name` plus alpha/beta/gamma counters. No-op
+/// when `tracer` is null or the collective is degenerate (zero seconds: one
+/// node or an empty payload) — it does not fabricate a zero-length span.
+void trace_allreduce(trace::Tracer* tracer, int track, std::string name,
                      const CostBreakdown& breakdown);
 
 /// Recursive-halving reduce-scatter + recursive-doubling allgather.
@@ -97,9 +101,7 @@ void trace_allreduce(trace::Tracer* tracer, int track, const char* algorithm,
 /// receive the result after it).
 CostBreakdown allreduce_rhd(std::vector<std::vector<float>>& data,
                             const Topology& topo, const NetParams& net,
-                            Placement placement,
-                            trace::Tracer* tracer = nullptr,
-                            int trace_track = 0);
+                            Placement placement);
 
 /// Span variant: reduces `data[r]` in place where each span views rank r's
 /// slice of a larger buffer (the bucketed all-reduce reduces one
@@ -107,47 +109,33 @@ CostBreakdown allreduce_rhd(std::vector<std::vector<float>>& data,
 /// to the vector variant over the same elements.
 CostBreakdown allreduce_rhd(const std::vector<std::span<float>>& data,
                             const Topology& topo, const NetParams& net,
-                            Placement placement,
-                            trace::Tracer* tracer = nullptr,
-                            int trace_track = 0);
+                            Placement placement);
 
 /// Analytic cost of the same algorithm for arbitrary message size (used at
 /// 1024-node scale where functional buffers would not fit).
 CostBreakdown cost_rhd(std::int64_t bytes, const Topology& topo,
-                       const NetParams& net, Placement placement,
-                       trace::Tracer* tracer = nullptr, int trace_track = 0);
+                       const NetParams& net, Placement placement);
 
 /// Ring all-reduce (reduce-scatter ring + allgather ring).
 CostBreakdown allreduce_ring(std::vector<std::vector<float>>& data,
                              const Topology& topo, const NetParams& net,
-                             Placement placement,
-                             trace::Tracer* tracer = nullptr,
-                             int trace_track = 0);
+                             Placement placement);
 CostBreakdown allreduce_ring(const std::vector<std::span<float>>& data,
                              const Topology& topo, const NetParams& net,
-                             Placement placement,
-                             trace::Tracer* tracer = nullptr,
-                             int trace_track = 0);
+                             Placement placement);
 CostBreakdown cost_ring(std::int64_t bytes, const Topology& topo,
-                        const NetParams& net, Placement placement,
-                        trace::Tracer* tracer = nullptr, int trace_track = 0);
+                        const NetParams& net, Placement placement);
 
 /// Parameter-server synchronization: workers push gradients to `servers`
 /// shards, servers reduce and broadcast back. Functional result equals the
 /// all-reduce sum on every rank.
 CostBreakdown allreduce_param_server(std::vector<std::vector<float>>& data,
                                      const Topology& topo,
-                                     const NetParams& net, int servers,
-                                     trace::Tracer* tracer = nullptr,
-                                     int trace_track = 0);
+                                     const NetParams& net, int servers);
 CostBreakdown allreduce_param_server(const std::vector<std::span<float>>& data,
                                      const Topology& topo,
-                                     const NetParams& net, int servers,
-                                     trace::Tracer* tracer = nullptr,
-                                     int trace_track = 0);
+                                     const NetParams& net, int servers);
 CostBreakdown cost_param_server(std::int64_t bytes, const Topology& topo,
-                                const NetParams& net, int servers,
-                                trace::Tracer* tracer = nullptr,
-                                int trace_track = 0);
+                                const NetParams& net, int servers);
 
 }  // namespace swcaffe::topo

@@ -25,13 +25,9 @@ bool hierarchical_applicable(const Topology& topo) {
 }
 
 CostBreakdown cost_hierarchical(std::int64_t bytes, const Topology& topo,
-                                const NetParams& net, trace::Tracer* tracer,
-                                int trace_track) {
+                                const NetParams& net) {
   if (!hierarchical_applicable(topo) || bytes == 0) {
-    const CostBreakdown cost =
-        cost_rhd(bytes, topo, net, Placement::kRoundRobin);
-    trace_allreduce(tracer, trace_track, "allreduce.hier", cost);
-    return cost;
+    return cost_rhd(bytes, topo, net, Placement::kRoundRobin);
   }
   const int q = topo.supernode_size;
   const int s = topo.num_nodes / q;
@@ -53,32 +49,25 @@ CostBreakdown cost_hierarchical(std::int64_t bytes, const Topology& topo,
   inter.supernode_size = 1;
   const std::int64_t chunk = (bytes + q - 1) / q;
   cost += cost_rhd(chunk, inter, net, Placement::kAdjacent);
-
-  trace_allreduce(tracer, trace_track, "allreduce.hier", cost);
   return cost;
 }
 
 CostBreakdown allreduce_hierarchical(std::vector<std::vector<float>>& data,
                                      const Topology& topo,
-                                     const NetParams& net,
-                                     trace::Tracer* tracer, int trace_track) {
+                                     const NetParams& net) {
   std::vector<std::span<float>> spans;
   spans.reserve(data.size());
   for (auto& v : data) spans.emplace_back(v);
-  return allreduce_hierarchical(spans, topo, net, tracer, trace_track);
+  return allreduce_hierarchical(spans, topo, net);
 }
 
 CostBreakdown allreduce_hierarchical(const std::vector<std::span<float>>& data,
                                      const Topology& topo,
-                                     const NetParams& net,
-                                     trace::Tracer* tracer, int trace_track) {
+                                     const NetParams& net) {
   const int p = static_cast<int>(data.size());
   SWC_CHECK_EQ(p, topo.num_nodes);
   if (!hierarchical_applicable(topo)) {
-    const CostBreakdown cost =
-        allreduce_rhd(data, topo, net, Placement::kRoundRobin);
-    trace_allreduce(tracer, trace_track, "allreduce.hier", cost);
-    return cost;
+    return allreduce_rhd(data, topo, net, Placement::kRoundRobin);
   }
   const std::size_t n = data[0].size();
   for (const auto& v : data) SWC_CHECK_EQ(v.size(), n);
@@ -151,8 +140,7 @@ CostBreakdown allreduce_hierarchical(const std::vector<std::span<float>>& data,
     SWC_CHECK_EQ(lo[j], 0u);
     SWC_CHECK_EQ(hi[j], n);
   }
-  return cost_hierarchical(static_cast<std::int64_t>(n) * 4, topo, net,
-                           tracer, trace_track);
+  return cost_hierarchical(static_cast<std::int64_t>(n) * 4, topo, net);
 }
 
 }  // namespace swcaffe::topo

@@ -35,7 +35,6 @@
 #include "topo/allreduce.h"
 #include "topo/network_model.h"
 #include "topo/topology.h"
-#include "trace/tracer.h"
 
 namespace swcaffe::topo {
 
@@ -52,9 +51,7 @@ bool hierarchical_applicable(const Topology& topo);
 /// link_bw / oversub). Falls back to cost_rhd round-robin when the
 /// hierarchy is not applicable.
 CostBreakdown cost_hierarchical(std::int64_t bytes, const Topology& topo,
-                                const NetParams& net,
-                                trace::Tracer* tracer = nullptr,
-                                int trace_track = 0);
+                                const NetParams& net);
 
 /// Functional two-level all-reduce: `data[r]` is rank r's vector; on return
 /// every rank holds the elementwise sum. Supernode membership follows the
@@ -63,13 +60,9 @@ CostBreakdown cost_hierarchical(std::int64_t bytes, const Topology& topo,
 /// summation trees whenever s is a power of two — bit-identical results.
 CostBreakdown allreduce_hierarchical(std::vector<std::vector<float>>& data,
                                      const Topology& topo,
-                                     const NetParams& net,
-                                     trace::Tracer* tracer = nullptr,
-                                     int trace_track = 0);
+                                     const NetParams& net);
 CostBreakdown allreduce_hierarchical(const std::vector<std::span<float>>& data,
                                      const Topology& topo,
-                                     const NetParams& net,
-                                     trace::Tracer* tracer = nullptr,
-                                     int trace_track = 0);
+                                     const NetParams& net);
 
 }  // namespace swcaffe::topo

@@ -178,19 +178,11 @@ void trace_overlap(trace::Tracer* tracer, int track,
   for (std::size_t i = 0; i < timeline.buckets.size(); ++i) {
     const BucketTiming& t = timeline.buckets[i];
     tracer->set_clock(track, t.start_s);
-    const std::string name = "bucket" + std::to_string(i) + "[" +
-                             std::to_string(t.bucket.first_layer) + ".." +
-                             std::to_string(t.bucket.last_layer) + "]";
-    tracer->begin_span(track, name, "comm.allreduce");
-    trace::TrafficCounters c;
-    c.net_bytes =
-        static_cast<std::size_t>(t.cost.beta1_bytes + t.cost.beta2_bytes);
-    tracer->charge(track, c);
-    tracer->counter(track, trace::kCounterAlphaTerms, t.cost.alpha_terms);
-    tracer->counter(track, trace::kCounterBeta1Bytes, t.cost.beta1_bytes);
-    tracer->counter(track, trace::kCounterBeta2Bytes, t.cost.beta2_bytes);
-    tracer->counter(track, trace::kCounterGammaBytes, t.cost.gamma_bytes);
-    tracer->end_span(track, t.end_s - t.start_s);
+    trace_allreduce(tracer, track,
+                    "bucket" + std::to_string(i) + "[" +
+                        std::to_string(t.bucket.first_layer) + ".." +
+                        std::to_string(t.bucket.last_layer) + "]",
+                    t.cost);
   }
 }
 

@@ -113,11 +113,11 @@ OverlapTimeline schedule_overlap(const std::vector<GradientBucket>& buckets,
                                  const BucketCostFn& bucket_cost,
                                  sim::EventLog* event_log = nullptr);
 
-/// Renders the timeline on `track`: one "comm.allreduce" span per bucket at
-/// its scheduled [start, end] interval (named "bucket<k>[lo..hi]") with the
-/// per-bucket alpha/beta/gamma counters. Sets the track clock; callers
-/// emitting compute spans on the same trace should use a different track.
-/// No-op when `tracer` is null.
+/// Renders the timeline on `track`: each bucket's collective is recorded
+/// with trace_allreduce at its scheduled start, named "bucket<k>[lo..hi]"
+/// (a "comm.allreduce" span plus the per-bucket alpha/beta/gamma
+/// counters). Sets the track clock; callers emitting compute spans on the
+/// same trace should use a different track. No-op when `tracer` is null.
 void trace_overlap(trace::Tracer* tracer, int track,
                    const OverlapTimeline& timeline);
 

@@ -23,7 +23,7 @@ std::string num(double v) {
   return buf;
 }
 
-std::string traffic_args(const TrafficCounters& t) {
+std::string traffic_args(const sim::TrafficCounters& t) {
   std::string out = "{";
   out += "\"dma_get_bytes\":" + std::to_string(t.dma_get_bytes);
   out += ",\"dma_put_bytes\":" + std::to_string(t.dma_put_bytes);
@@ -94,9 +94,10 @@ void write_chrome_trace(const Tracer& tracer, std::ostream& os) {
   // spans that began earlier (innermost first), then zero-duration spans as
   // immediately-nested B..E pairs, then open spans that end later (outermost
   // first). Encoded as (rank, subkey) below.
+  const std::vector<sim::Event>& events = tracer.log().events();
   std::vector<Edge> edges;
-  edges.reserve(tracer.spans().size() * 2);
-  for (const Span& s : tracer.spans()) {
+  for (const sim::Event& s : events) {
+    if (s.kind != sim::EventKind::kSpan) continue;
     edges.push_back({s.begin_s, true, &s});
     edges.push_back({s.end_s, false, &s});
   }
@@ -122,7 +123,7 @@ void write_chrome_trace(const Tracer& tracer, std::ostream& os) {
     const Span& s = *e.span;
     std::string ev = "{\"ph\":\"";
     ev += e.begin ? 'B' : 'E';
-    ev += "\",\"pid\":0,\"tid\":" + std::to_string(s.track) +
+    ev += "\",\"pid\":0,\"tid\":" + std::to_string(s.actor) +
           ",\"ts\":" + num(e.t_s * 1e6);
     if (e.begin) {
       ev += ",\"name\":\"" + json_escape(s.name) + "\",\"cat\":\"" +
@@ -134,24 +135,30 @@ void write_chrome_trace(const Tracer& tracer, std::ostream& os) {
     emit(ev);
   }
 
-  for (const CounterSample& c : tracer.counters()) {
-    emit("{\"ph\":\"C\",\"pid\":0,\"tid\":" + std::to_string(c.track) +
-         ",\"ts\":" + num(c.t_s * 1e6) + ",\"name\":\"" +
+  // Point and async events keep record order within each kind.
+  for (const sim::Event& c : events) {
+    if (c.kind != sim::EventKind::kCounter) continue;
+    emit("{\"ph\":\"C\",\"pid\":0,\"tid\":" + std::to_string(c.actor) +
+         ",\"ts\":" + num(c.begin_s * 1e6) + ",\"name\":\"" +
          json_escape(c.name) + "\",\"args\":{\"value\":" + num(c.value) +
          "}}");
   }
-  for (const InstantEvent& i : tracer.instants()) {
+  for (const sim::Event& i : events) {
+    if (i.kind != sim::EventKind::kInstant) continue;
     emit("{\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":" +
-         std::to_string(i.track) + ",\"ts\":" + num(i.t_s * 1e6) +
+         std::to_string(i.actor) + ",\"ts\":" + num(i.begin_s * 1e6) +
          ",\"name\":\"" + json_escape(i.name) + "\",\"cat\":\"" +
          json_escape(i.category) + "\"}");
   }
   // Async spans ("b"/"e" pairs keyed by id): overlap-tolerant intervals —
   // Perfetto gives each id its own sub-lane, so per-request queue spans that
   // coexist in time render side by side instead of violating the B/E stack.
-  for (const AsyncSpan& a : tracer.async_spans()) {
-    const std::string common = ",\"pid\":0,\"tid\":" + std::to_string(a.track) +
-                               ",\"id\":" + std::to_string(a.id) +
+  // Ids count async spans in record order (Tracer::async_span's return).
+  std::int64_t id = 0;
+  for (const sim::Event& a : events) {
+    if (a.kind != sim::EventKind::kAsync) continue;
+    const std::string common = ",\"pid\":0,\"tid\":" + std::to_string(a.actor) +
+                               ",\"id\":" + std::to_string(id++) +
                                ",\"cat\":\"" + json_escape(a.category) +
                                "\",\"name\":\"" + json_escape(a.name) + "\"";
     emit("{\"ph\":\"b\",\"ts\":" + num(a.begin_s * 1e6) + common + "}");

@@ -14,10 +14,10 @@ namespace swcaffe::trace {
 Report Report::build(const Tracer& tracer, const std::string& category) {
   Report report;
   std::map<std::string, std::size_t> index;  // name -> row
-  for (const Span& s : tracer.spans()) {
+  for (const sim::Event& s : tracer.log().events()) {
     const bool match =
         category.empty() ? s.depth == 0 : s.category == category;
-    if (!match) continue;
+    if (s.kind != sim::EventKind::kSpan || !match) continue;
     auto [it, inserted] = index.try_emplace(s.name, report.rows_.size());
     if (inserted) {
       ReportRow row;

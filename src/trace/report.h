@@ -17,7 +17,7 @@ struct ReportRow {
   std::string category;
   int count = 0;          ///< number of spans aggregated
   double total_s = 0.0;   ///< summed inclusive simulated time
-  TrafficCounters traffic;
+  sim::TrafficCounters traffic;
 
   /// Achieved Gflops over the aggregated interval (0 when no flops charged).
   double gflops() const {

@@ -5,7 +5,19 @@
 namespace swcaffe::trace {
 
 namespace {
-constexpr double kOpenSentinel = -1.0;
+
+Span make_event(sim::EventKind kind, int track, double begin_s, double end_s,
+                std::string name, std::string category) {
+  Span e;
+  e.kind = kind;
+  e.actor = track;
+  e.begin_s = begin_s;
+  e.end_s = end_s;
+  e.name = std::move(name);
+  e.category = std::move(category);
+  return e;
+}
+
 }  // namespace
 
 Tracer::Track& Tracer::track(int id) { return tracks_[id]; }
@@ -23,7 +35,7 @@ double Tracer::now(int track_id) const {
 void Tracer::set_clock(int track_id, double t_s) {
   Track& t = track(track_id);
   if (!t.open.empty()) {
-    SWC_CHECK_GE(t_s, spans_[t.open.back()].begin_s);
+    SWC_CHECK_GE(t_s, log_.events()[t.open.back()].begin_s);
   }
   t.clock = t_s;
 }
@@ -36,16 +48,11 @@ void Tracer::advance(int track_id, double dt_s) {
 std::int64_t Tracer::begin_span(int track_id, std::string name,
                                 std::string category) {
   Track& t = track(track_id);
-  Span s;
-  s.name = std::move(name);
-  s.category = std::move(category);
-  s.track = track_id;
-  s.begin_s = t.clock;
-  s.end_s = kOpenSentinel;
+  Span s = make_event(sim::EventKind::kSpan, track_id, t.clock, t.clock,
+                      std::move(name), std::move(category));
   s.depth = static_cast<int>(t.open.size());
   s.parent = t.open.empty() ? kNoParent : t.open.back();
-  const std::int64_t index = static_cast<std::int64_t>(spans_.size());
-  spans_.push_back(std::move(s));
+  const auto index = static_cast<std::int64_t>(log_.record(std::move(s)));
   t.open.push_back(index);
   return index;
 }
@@ -56,11 +63,11 @@ void Tracer::end_span(int track_id) {
                 "end_span on track " << track_id << " with no open span");
   const std::int64_t index = t.open.back();
   t.open.pop_back();
-  Span& s = spans_[index];
+  Span& s = log_.at(index);
   SWC_CHECK_GE(t.clock, s.begin_s);
   s.end_s = t.clock;
   // Counters are inclusive: fold the closed child into its parent.
-  if (s.parent != kNoParent) spans_[s.parent].traffic.add(s.traffic);
+  if (s.parent != kNoParent) log_.at(s.parent).traffic.add(s.traffic);
 }
 
 void Tracer::end_span(int track_id, double dt_s) {
@@ -68,30 +75,32 @@ void Tracer::end_span(int track_id, double dt_s) {
   end_span(track_id);
 }
 
-void Tracer::charge(int track_id, const TrafficCounters& c) {
+void Tracer::charge(int track_id, const sim::TrafficCounters& c) {
   Track& t = track(track_id);
   if (t.open.empty()) return;
-  spans_[t.open.back()].traffic.add(c);
+  log_.at(t.open.back()).traffic.add(c);
 }
 
 void Tracer::counter(int track_id, std::string name, double value) {
-  counters_.push_back(
-      {std::move(name), track_id, track(track_id).clock, value});
+  const double t = track(track_id).clock;
+  Span e = make_event(sim::EventKind::kCounter, track_id, t, t,
+                      std::move(name), "");
+  e.value = value;
+  log_.record(std::move(e));
 }
 
 void Tracer::instant(int track_id, std::string name, std::string category) {
-  instants_.push_back(
-      {std::move(name), std::move(category), track_id, track(track_id).clock});
+  const double t = track(track_id).clock;
+  log_.record(make_event(sim::EventKind::kInstant, track_id, t, t,
+                         std::move(name), std::move(category)));
 }
 
 std::int64_t Tracer::async_span(int track_id, std::string name,
                                 std::string category, double begin_s,
                                 double end_s) {
-  SWC_CHECK_GE(end_s, begin_s);
-  const std::int64_t id = static_cast<std::int64_t>(async_spans_.size());
-  async_spans_.push_back(
-      {std::move(name), std::move(category), track_id, begin_s, end_s, id});
-  return id;
+  log_.record(make_event(sim::EventKind::kAsync, track_id, begin_s, end_s,
+                         std::move(name), std::move(category)));
+  return async_spans_++;
 }
 
 void Tracer::set_track_name(int track_id, std::string name) {
@@ -106,10 +115,8 @@ std::size_t Tracer::open_spans() const {
 
 void Tracer::clear() {
   tracks_.clear();
-  spans_.clear();
-  counters_.clear();
-  instants_.clear();
-  async_spans_.clear();
+  log_.clear();
+  async_spans_ = 0;
   // track_names_ kept: naming is configuration, not recorded data.
 }
 

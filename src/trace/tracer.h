@@ -6,8 +6,14 @@
 // instrumentation sites open a span, advance the track's clock by the
 // simulated seconds they charge, and close the span. Spans nest (iteration →
 // layer → {im2col DMA, mesh GEMM, RLC broadcast}) and carry a
-// TrafficCounters snapshot, so the exported trace shows both where simulated
-// time goes and what traffic was moved there.
+// sim::TrafficCounters snapshot, so the exported trace shows both where
+// simulated time goes and what traffic was moved there.
+//
+// The Tracer is a clock-and-nesting front end over one sim::EventLog: every
+// span, counter sample, instant and async span it is given is recorded
+// there once, as a sim::Event (a track is the event's actor). The Chrome
+// exporter, the aggregate Report and check::timeline_from_events all read
+// that log.
 //
 // A null tracer costs nothing: every instrumentation site is guarded by a
 // single pointer test, and with the pointer unset no code path that affects
@@ -20,9 +26,22 @@
 #include <string>
 #include <vector>
 
-#include "trace/event.h"
+#include "sim/event.h"
 
 namespace swcaffe::trace {
+
+/// A traced span is a sim::Event of kind kSpan; parent links index into
+/// Tracer::spans().
+using Span = sim::Event;
+using sim::kNoParent;
+
+// Canonical counter-sample names (chrome "C" events) emitted for every
+// traced all-reduce (topo::trace_allreduce); the report groups by these.
+inline constexpr const char* kCounterAlphaTerms = "allreduce.alpha_terms";
+inline constexpr const char* kCounterBeta1Bytes = "allreduce.beta1_bytes";
+inline constexpr const char* kCounterBeta2Bytes = "allreduce.beta2_bytes";
+inline constexpr const char* kCounterGammaBytes = "allreduce.gamma_bytes";
+inline constexpr const char* kCounterLoss = "train.loss";
 
 class Tracer {
  public:
@@ -45,7 +64,7 @@ class Tracer {
   void end_span(int track, double dt_s);
   /// Adds traffic to the innermost open span on `track` (no-op when no span
   /// is open — hw engines may run outside any span).
-  void charge(int track, const TrafficCounters& c);
+  void charge(int track, const sim::TrafficCounters& c);
 
   // --- Point events -----------------------------------------------------------
   void counter(int track, std::string name, double value);
@@ -56,7 +75,8 @@ class Tracer {
   /// end times (begin_s <= end_s). Unlike begin_span/end_span these are not
   /// stack-disciplined and do not touch the track clock — the natural shape
   /// for per-request serving timelines where many requests wait in a queue
-  /// at once. Returns the span's unique id.
+  /// at once. Returns the span's id (0, 1, ... in record order), which ties
+  /// the exported b/e pair together.
   std::int64_t async_span(int track, std::string name, std::string category,
                           double begin_s, double end_s);
 
@@ -66,13 +86,13 @@ class Tracer {
   const std::map<int, std::string>& track_names() const { return track_names_; }
 
   // --- Results ----------------------------------------------------------------
-  /// All spans in OPENING order; parent links index into this vector. A span
-  /// still open has end_s < begin_s (sentinel -1); exporters require a
-  /// balanced trace (open_spans() == 0).
-  const std::vector<Span>& spans() const { return spans_; }
-  const std::vector<CounterSample>& counters() const { return counters_; }
-  const std::vector<InstantEvent>& instants() const { return instants_; }
-  const std::vector<AsyncSpan>& async_spans() const { return async_spans_; }
+  /// Every recorded event (spans, counters, instants, async spans) in record
+  /// order; filter by sim::Event::kind. Parent links index into this log.
+  const sim::EventLog& log() const { return log_; }
+  /// log().events(), for callers that walk spans by parent index. A span
+  /// still open has end_s == begin_s; exporters require a balanced trace
+  /// (open_spans() == 0).
+  const std::vector<Span>& spans() const { return log_.events(); }
   /// Number of spans currently open across all tracks (0 after a balanced
   /// instrumentation pass).
   std::size_t open_spans() const;
@@ -82,7 +102,7 @@ class Tracer {
  private:
   struct Track {
     double clock = 0.0;
-    std::vector<std::int64_t> open;  ///< indices into spans_, outermost first
+    std::vector<std::int64_t> open;  ///< indices into log_, outermost first
   };
 
   Track& track(int id);
@@ -90,10 +110,8 @@ class Tracer {
 
   std::map<int, Track> tracks_;
   std::map<int, std::string> track_names_;
-  std::vector<Span> spans_;
-  std::vector<CounterSample> counters_;
-  std::vector<InstantEvent> instants_;
-  std::vector<AsyncSpan> async_spans_;
+  sim::EventLog log_;
+  std::int64_t async_spans_ = 0;  ///< async spans recorded (the next id)
 };
 
 /// RAII span guard that is a no-op when `tracer` is null.

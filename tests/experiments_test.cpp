@@ -4,6 +4,7 @@
 // guards.
 #include <gtest/gtest.h>
 
+#include "../bench/paper_table2.h"
 #include "core/models.h"
 #include "fixtures.h"
 #include "hw/cost_model.h"
@@ -194,12 +195,7 @@ TEST(Fig11, CommunicationFractionsMatchPaper) {
 
 // --- Table II regression guard: every measured cell of the paper ----------------
 
-struct Table2Row {
-  const char* name;
-  int ni, no, img;
-  // Paper values in seconds (-1 = unsupported, 0 = NA/skip).
-  double fwd_imp, fwd_exp, wd_imp, wd_exp, id_imp, id_exp;
-};
+using paper::Table2Row;
 
 class Table2CellTest : public ::testing::TestWithParam<Table2Row> {};
 
@@ -236,18 +232,7 @@ TEST_P(Table2CellTest, EveryCellWithinFactorBandOfPaper) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PaperCells, Table2CellTest,
-    ::testing::Values(
-        Table2Row{"conv1_1", 3, 64, 224, -1, 4.19, -1, 1.10, 0, 0},
-        Table2Row{"conv1_2", 64, 64, 224, 4.30, 7.79, -1, 5.22, -1, 14.97},
-        Table2Row{"conv2_1", 64, 128, 112, 1.63, 2.45, -1, 1.33, -1, 3.61},
-        Table2Row{"conv2_2", 128, 128, 112, 2.34, 3.14, 2.26, 2.25, 2.39, 6.11},
-        Table2Row{"conv3_1", 128, 256, 56, 1.06, 0.73, 0.92, 0.68, 0.95, 1.69},
-        Table2Row{"conv3_2", 256, 256, 56, 1.79, 1.14, 1.56, 1.29, 1.82, 3.05},
-        Table2Row{"conv4_1", 256, 512, 28, 0.84, 0.69, 0.70, 0.71, 0.85, 0.95},
-        Table2Row{"conv4_2", 512, 512, 28, 1.68, 1.33, 1.27, 1.33, 1.75, 1.89},
-        Table2Row{"conv5_1", 512, 512, 14, 0.40, 0.62, 0.31, 0.65, 0.43,
-                  0.80}),
+    PaperCells, Table2CellTest, ::testing::ValuesIn(paper::table2()),
     [](const ::testing::TestParamInfo<Table2Row>& info) {
       return info.param.name;
     });

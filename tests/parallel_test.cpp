@@ -8,12 +8,14 @@
 
 #include "base/log.h"
 #include "base/rng.h"
+#include "check/rules.h"
 #include "core/models.h"
 #include "fixtures.h"
 #include "parallel/node_runner.h"
 #include "parallel/ssgd.h"
 #include "parallel/sweep.h"
 #include "topo/allreduce.h"
+#include "trace/tracer.h"
 
 namespace swcaffe::parallel {
 namespace {
@@ -308,6 +310,76 @@ TEST(SsgdTest, CompressedTrainingBitwiseReproducible) {
       EXPECT_EQ(wr, wa) << topo::compression_name(c) << " rank " << r;
     }
   }
+}
+
+TEST(SsgdTest, TracedStepRecordsEachBucketAllreduceOnce) {
+  // Every algorithm x codec pair the comm rule accepts: one traced step
+  // records exactly one allreduce.* span per bucket, at the breakdown the
+  // trainer charged (the wire-byte pricing when compressed), each followed
+  // by its four alpha/beta1/beta2/gamma counter samples.
+  const int nodes = 4, sub_batch = 2, dim = 5, classes = 2;
+  core::SolverSpec solver;
+  int pairs = 0;
+  for (const topo::AllreduceAlgo algo : topo::kAllreduceAlgos) {
+    for (const topo::Compression codec :
+         {topo::Compression::kNone, topo::Compression::kFp16,
+          topo::Compression::kInt8}) {
+      check::CommPlan plan;
+      plan.algorithm = topo::allreduce_algo_name(algo);
+      plan.compression = topo::compression_name(codec);
+      plan.num_nodes = nodes;
+      plan.supernode_size = 2;
+      plan.buckets = 2;
+      check::Report verdict;
+      check::check_comm(plan, check::Options{}, "comm", &verdict);
+      if (!verdict.ok()) continue;  // e.g. int8 over ring
+      ++pairs;
+      const std::string label = plan.algorithm + "/" + plan.compression;
+
+      SsgdOptions opt;
+      opt.algo = algo;
+      opt.compression = codec;
+      opt.supernode_size = 2;
+      opt.buckets = 2;
+      SsgdTrainer trainer(mlp(sub_batch, dim, 6, classes), nodes, solver, opt,
+                          23);
+      trace::Tracer tracer;
+      trainer.set_tracer(&tracer, 0);
+      base::Rng rng(24);
+      std::vector<float> data, labels;
+      random_batch(data, labels, nodes * sub_batch, dim, classes, rng);
+      trainer.step(data, labels);
+
+      const std::vector<sim::Event>& log = tracer.log().events();
+      std::vector<std::size_t> spans;
+      for (std::size_t i = 0; i < log.size(); ++i) {
+        if (log[i].kind == sim::EventKind::kSpan) spans.push_back(i);
+      }
+      ASSERT_EQ(spans.size(), 2u) << label;
+      for (std::size_t k = 0; k < spans.size(); ++k) {
+        // Service order: the last bucket goes on the wire first.
+        const topo::CostBreakdown& c = trainer.last_comm_buckets()[1 - k];
+        const sim::Event& s = log[spans[k]];
+        EXPECT_EQ(s.name, topo::allreduce_span_name(algo)) << label;
+        EXPECT_EQ(s.category, "comm.allreduce") << label;
+        EXPECT_DOUBLE_EQ(s.duration_s(), c.seconds) << label;
+        ASSERT_LT(spans[k] + 4, log.size()) << label;
+        const double terms[] = {static_cast<double>(c.alpha_terms),
+                                c.beta1_bytes, c.beta2_bytes, c.gamma_bytes};
+        const char* names[] = {trace::kCounterAlphaTerms,
+                               trace::kCounterBeta1Bytes,
+                               trace::kCounterBeta2Bytes,
+                               trace::kCounterGammaBytes};
+        for (int t = 0; t < 4; ++t) {
+          const sim::Event& counter = log[spans[k] + 1 + t];
+          EXPECT_EQ(counter.kind, sim::EventKind::kCounter) << label;
+          EXPECT_EQ(counter.name, names[t]) << label;
+          EXPECT_EQ(counter.value, terms[t]) << label;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(pairs, 13);  // 5 algorithms x 3 codecs, minus int8 over ring/ps
 }
 
 TEST(SsgdTest, CompressedTrainingStillLearns) {

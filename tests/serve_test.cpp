@@ -436,26 +436,30 @@ TEST(BatcherTest, TraceCarriesTheFullServingTimeline) {
 
   EXPECT_EQ(tracer.open_spans(), 0u);  // balanced: exportable
   // One sequential forward span per batch on the server track.
-  int forwards = 0;
-  for (const auto& s : tracer.spans()) {
-    if (s.category == "serve.forward") ++forwards;
+  // One async queue interval per admitted request, one formation interval
+  // per batch; intervals respect begin <= end. One reject instant per shed
+  // request.
+  int forwards = 0, queues = 0, formations = 0, rejects = 0;
+  for (const auto& e : tracer.log().events()) {
+    switch (e.kind) {
+      case sim::EventKind::kSpan:
+        forwards += e.category == "serve.forward";
+        break;
+      case sim::EventKind::kAsync:
+        EXPECT_LE(e.begin_s, e.end_s);
+        queues += e.category == "serve.queue";
+        formations += e.category == "serve.batch";
+        break;
+      case sim::EventKind::kInstant:
+        rejects += e.category == "serve.reject";
+        break;
+      default:
+        break;
+    }
   }
   EXPECT_EQ(forwards, static_cast<int>(res.batches.size()));
-  // One async queue interval per admitted request, one formation interval
-  // per batch; intervals respect begin <= end.
-  int queues = 0, formations = 0;
-  for (const auto& a : tracer.async_spans()) {
-    EXPECT_LE(a.begin_s, a.end_s);
-    if (a.category == "serve.queue") ++queues;
-    if (a.category == "serve.batch") ++formations;
-  }
   EXPECT_EQ(queues, res.admitted);
   EXPECT_EQ(formations, static_cast<int>(res.batches.size()));
-  // One reject instant per shed request.
-  int rejects = 0;
-  for (const auto& i : tracer.instants()) {
-    if (i.category == "serve.reject") ++rejects;
-  }
   EXPECT_EQ(rejects, res.rejected);
 }
 

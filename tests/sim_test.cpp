@@ -23,6 +23,7 @@
 #include "sim/event.h"
 #include "sim/resource.h"
 #include "sim/thread_pool.h"
+#include "trace/tracer.h"
 
 namespace swcaffe::sim {
 namespace {
@@ -99,7 +100,7 @@ TEST(EventLogTest, AssignsSeqInRecordOrder) {
 TEST(EventLogTest, NegativeDurationIsRejected) {
   EventLog log;
   Event e;
-  e.duration_s = -1e-9;
+  e.end_s = -1e-9;  // ends before it begins
   EXPECT_THROW(log.record(e), base::CheckError);
   EXPECT_TRUE(log.empty());
 }
@@ -109,19 +110,19 @@ TEST(EventOrderTest, TotalOrderIsTimeActorSeq) {
   // time first; at equal times the lower actor id; at equal (time, actor)
   // the earlier-recorded event.
   Event early;
-  early.time_s = 0.5;
+  early.begin_s = 0.5;
   early.actor = 7;
   early.seq = 9;
   Event low_actor;
-  low_actor.time_s = 1.0;
+  low_actor.begin_s = 1.0;
   low_actor.actor = 0;
   low_actor.seq = 5;
   Event high_actor;
-  high_actor.time_s = 1.0;
+  high_actor.begin_s = 1.0;
   high_actor.actor = 3;
   high_actor.seq = 1;
   Event high_actor_later;
-  high_actor_later.time_s = 1.0;
+  high_actor_later.begin_s = 1.0;
   high_actor_later.actor = 3;
   high_actor_later.seq = 2;
   EXPECT_TRUE(event_before(early, low_actor));       // time wins
@@ -239,13 +240,13 @@ TEST(EngineTest, AcquireAppliesBusyIntervalsAndLogsCharges) {
   EXPECT_EQ(span.kind, EventKind::kSpan);
   EXPECT_EQ(span.resource, -1);
   const Event& c1 = e.log().events()[1];
-  EXPECT_EQ(c1.time_s, 0.5);
-  EXPECT_EQ(c1.end_s(), 1.5);
+  EXPECT_EQ(c1.begin_s, 0.5);
+  EXPECT_EQ(c1.end_s, 1.5);
   EXPECT_EQ(c1.resource, r);
   EXPECT_EQ(c1.bytes, 100);
   EXPECT_EQ(c1.kind, EventKind::kCharge);
   const Event& c2 = e.log().events()[2];
-  EXPECT_EQ(c2.time_s, 1.5);
+  EXPECT_EQ(c2.begin_s, 1.5);
   EXPECT_EQ(c2.bytes, 200);
 }
 
@@ -301,15 +302,15 @@ TEST(TimelineFromEventsTest, SeededOverlapIsCaught) {
   // formality.
   EventLog log;
   Event a;
-  a.time_s = 0.0;
-  a.duration_s = 2.0;
+  a.begin_s = 0.0;
+  a.end_s = 2.0;
   a.actor = 0;
   a.resource = 0;
   a.name = "c1";
   log.record(a);
   Event b;
-  b.time_s = 1.0;  // intersects [0, 2]
-  b.duration_s = 2.0;
+  b.begin_s = 1.0;  // intersects [0, 2]
+  b.end_s = 3.0;
   b.actor = 0;
   b.resource = 0;
   b.name = "c2";
@@ -334,38 +335,42 @@ TEST(TimelineFromEventsTest, LaysEventsOutInDocumentedOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Cost-model event log (hw charge sites)
+// hw charge sites: recorded once, by the tracer
 // ---------------------------------------------------------------------------
 
 TEST(CostModelEventLogTest, DmaChargesLandInTheLogOnTheElapsedClock) {
   hw::CostModel cost;
-  EventLog log;
+  trace::Tracer tracer;
   hw::DmaEngine dma(cost);
   std::vector<double> src(256, 1.0), dst(256, 0.0);
 
-  // First transfer BEFORE the log attaches: charged but not recorded —
-  // attaching a log is observational, never retroactive.
+  // First transfer BEFORE the tracer attaches: charged but not recorded —
+  // attaching a tracer is observational, never retroactive.
   dma.get(src, dst, 8);
   const double first_elapsed = dma.ledger().elapsed_s;
-  EXPECT_TRUE(log.empty());
+  EXPECT_TRUE(tracer.log().empty());
 
-  hw::CostModel logged_cost;
-  logged_cost.set_event_log(&log, 3);
-  hw::DmaEngine dma2(logged_cost);
+  hw::CostModel traced_cost;
+  traced_cost.set_tracer(&tracer, 3);
+  hw::DmaEngine dma2(traced_cost);
   dma2.get(src, dst, 8);
   dma2.put(src, dst, 8);
+  const EventLog& log = tracer.log();
   ASSERT_EQ(log.events().size(), 2u);
   const Event& get = log.events()[0];
   EXPECT_EQ(get.name, "dma.get");
+  EXPECT_EQ(get.category, "hw.dma");
   EXPECT_EQ(get.actor, 3);
-  EXPECT_EQ(get.time_s, 0.0);  // stamped at the engine's elapsed clock
-  EXPECT_EQ(get.duration_s, first_elapsed);  // same transfer, same price
-  EXPECT_EQ(get.bytes, static_cast<std::int64_t>(256 * sizeof(double)));
+  // A fresh tracer's track clock is the engine's elapsed clock.
+  EXPECT_EQ(get.begin_s, 0.0);
+  EXPECT_EQ(get.duration_s(), first_elapsed);  // same transfer, same price
+  EXPECT_EQ(get.traffic.dma_get_bytes, 256 * sizeof(double));
   const Event& put = log.events()[1];
   EXPECT_EQ(put.name, "dma.put");
-  EXPECT_EQ(put.time_s, get.end_s());  // back to back on the ledger clock
+  EXPECT_EQ(put.traffic.dma_put_bytes, 256 * sizeof(double));
+  EXPECT_EQ(put.begin_s, get.end_s);  // back to back on the ledger clock
   // The pair reconstructs the ledger exactly.
-  EXPECT_EQ(put.end_s(), dma2.ledger().elapsed_s);
+  EXPECT_EQ(put.end_s, dma2.ledger().elapsed_s);
   // And the extracted timeline of real hardware charges verifies silent.
   const check::Report report = check::verify_timeline(check::timeline_from_events(
       "dma-charges", {"cg0", "cg1", "cg2", "cg3"}, {}, log));
@@ -374,17 +379,21 @@ TEST(CostModelEventLogTest, DmaChargesLandInTheLogOnTheElapsedClock) {
 
 TEST(CostModelEventLogTest, RlcChargesLandInTheLog) {
   hw::RlcFabric rlc{hw::HwParams{}};
-  EventLog log;
-  rlc.set_event_log(&log, 1);
+  trace::Tracer tracer;
+  rlc.set_tracer(&tracer, 1);
   std::vector<double> data(32, 1.0);
   rlc.row_broadcast(0, 0, data);
   rlc.send(0, 1, 0, 3, data);
-  ASSERT_EQ(log.events().size(), 2u);
-  EXPECT_EQ(log.events()[0].name, "rlc.row_broadcast");
-  EXPECT_EQ(log.events()[0].actor, 1);
-  EXPECT_EQ(log.events()[1].name, "rlc.send");
-  EXPECT_EQ(log.events()[1].time_s, log.events()[0].end_s());
-  EXPECT_EQ(log.events()[1].end_s(), rlc.ledger().elapsed_s);
+  const std::vector<Event>& events = tracer.log().events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].name, "rlc.row_broadcast");
+  EXPECT_EQ(events[0].category, "hw.rlc");
+  EXPECT_EQ(events[0].actor, 1);
+  EXPECT_EQ(events[1].name, "rlc.send");
+  EXPECT_EQ(events[1].begin_s, events[0].end_s);
+  EXPECT_EQ(events[1].end_s, rlc.ledger().elapsed_s);
+  EXPECT_EQ(events[0].traffic.rlc_bytes + events[1].traffic.rlc_bytes,
+            rlc.ledger().rlc_bytes);
   for (int c = 1; c < 8; ++c) (void)rlc.receive_row(0, c);
   (void)rlc.receive_row(0, 3);
 }

@@ -273,13 +273,12 @@ TEST(AllreduceEdgeTest, RingAndRhdAgreeAtOneNode) {
   const NetParams net = sunway_network();
   using AllreduceFn = CostBreakdown (*)(std::vector<std::vector<float>>&,
                                         const Topology&, const NetParams&,
-                                        Placement, trace::Tracer*, int);
+                                        Placement);
   const AllreduceFn fns[] = {&allreduce_ring, &allreduce_rhd};
   for (AllreduceFn fn : fns) {
     auto data = random_data(1, 23, 77);
     const auto expected = data[0];
-    const CostBreakdown c = fn(data, topo, net, Placement::kAdjacent,
-                               nullptr, 0);
+    const CostBreakdown c = fn(data, topo, net, Placement::kAdjacent);
     EXPECT_EQ(c.seconds, 0.0);
     EXPECT_EQ(c.alpha_terms, 0);
     EXPECT_EQ(c.beta1_bytes + c.beta2_bytes + c.gamma_bytes, 0.0);
@@ -348,10 +347,16 @@ TEST(AllreducePayloadTest, ZeroBytePayloadEmitsNoTraceSpan) {
   Topology topo{8, 4};
   const NetParams net = sunway_network();
   trace::Tracer tracer;
-  cost_ring(0, topo, net, Placement::kAdjacent, &tracer, 0);
-  cost_rhd(0, topo, net, Placement::kAdjacent, &tracer, 0);
-  cost_param_server(0, topo, net, 2, &tracer, 0);
-  EXPECT_TRUE(tracer.spans().empty());
+  trace_allreduce(&tracer, 0, "allreduce.ring",
+                  cost_ring(0, topo, net, Placement::kAdjacent));
+  trace_allreduce(&tracer, 0, "allreduce.rhd",
+                  cost_rhd(0, topo, net, Placement::kAdjacent));
+  trace_allreduce(&tracer, 0, "allreduce.param_server",
+                  cost_param_server(0, topo, net, 2));
+  trace_allreduce(&tracer, 0, "allreduce.rhd",
+                  cost_rhd(1 << 20, Topology{1, 4}, net,
+                           Placement::kAdjacent));  // one node
+  EXPECT_TRUE(tracer.log().empty());
 }
 
 TEST(AllreducePayloadTest, NegativePayloadIsRejectedWithDiagnostic) {

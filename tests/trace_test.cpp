@@ -180,11 +180,11 @@ TEST(TracerTest, SpansNestAndClockIsMonotonic) {
 TEST(TracerTest, CountersFoldInclusivelyIntoParents) {
   trace::Tracer t;
   t.begin_span(0, "parent", "x");
-  trace::TrafficCounters direct;
+  sim::TrafficCounters direct;
   direct.dma_get_bytes = 100;
   t.charge(0, direct);
   t.begin_span(0, "child", "x");
-  trace::TrafficCounters nested;
+  sim::TrafficCounters nested;
   nested.dma_put_bytes = 40;
   nested.flops = 7.0;
   t.charge(0, nested);
@@ -201,7 +201,7 @@ TEST(TracerTest, CountersFoldInclusivelyIntoParents) {
 
 TEST(TracerTest, ChargeOutsideAnySpanIsIgnored) {
   trace::Tracer t;
-  trace::TrafficCounters c;
+  sim::TrafficCounters c;
   c.rlc_bytes = 8;
   t.charge(0, c);  // hw engines may run before any span opens
   EXPECT_TRUE(t.spans().empty());
@@ -380,35 +380,50 @@ TEST(TraceLayerTest, ReportAggregatesMatchCostModelTable) {
 // ---------------------------------------------------------------------------
 // All-reduce
 
+/// The events of `kind` in the tracer's log, in record order.
+std::vector<sim::Event> events_of(const trace::Tracer& tracer,
+                                  sim::EventKind kind) {
+  std::vector<sim::Event> out;
+  for (const sim::Event& e : tracer.log().events()) {
+    if (e.kind == kind) out.push_back(e);
+  }
+  return out;
+}
+
 TEST(TraceAllreduceTest, CostEmitsOneSpanWithBreakdownCounters) {
   const topo::NetParams net = topo::sunway_network();
   topo::Topology topo{8, 4};
   trace::Tracer tracer;
-  const auto c = topo::cost_rhd(64 << 20, topo, net,
-                                topo::Placement::kRoundRobin, &tracer, 0);
+  const auto c =
+      topo::cost_rhd(64 << 20, topo, net, topo::Placement::kRoundRobin);
+  topo::trace_allreduce(&tracer, 0, "allreduce.rhd", c);
 
-  ASSERT_EQ(tracer.spans().size(), 1u);
-  const trace::Span& s = tracer.spans()[0];
+  const auto spans = events_of(tracer, sim::EventKind::kSpan);
+  ASSERT_EQ(spans.size(), 1u);
+  const trace::Span& s = spans[0];
   EXPECT_EQ(s.name, "allreduce.rhd");
   EXPECT_EQ(s.category, "comm.allreduce");
   EXPECT_DOUBLE_EQ(s.duration_s(), c.seconds);
   EXPECT_EQ(s.traffic.net_bytes,
             static_cast<std::size_t>(c.beta1_bytes + c.beta2_bytes));
-  ASSERT_EQ(tracer.counters().size(), 4u);
-  EXPECT_EQ(tracer.counters()[0].name, trace::kCounterAlphaTerms);
-  EXPECT_DOUBLE_EQ(tracer.counters()[0].value, c.alpha_terms);
+  const auto counters = events_of(tracer, sim::EventKind::kCounter);
+  ASSERT_EQ(counters.size(), 4u);
+  EXPECT_EQ(counters[0].name, trace::kCounterAlphaTerms);
+  EXPECT_DOUBLE_EQ(counters[0].value, c.alpha_terms);
 }
 
 TEST(TraceAllreduceTest, NonPowerOfTwoStillEmitsExactlyOneSpan) {
+  // The MPICH fold/unfold recursion prices the core algorithm and the fold
+  // separately; the traced collective is still one span of the total.
   const topo::NetParams net = topo::sunway_network();
-  topo::Topology topo{6, 4};  // exercises the MPICH fold/unfold recursion
+  topo::Topology topo{6, 4};
   trace::Tracer tracer;
-  const auto with = topo::cost_rhd(1 << 20, topo, net,
-                                   topo::Placement::kAdjacent, &tracer, 0);
-  const auto without =
+  const auto c =
       topo::cost_rhd(1 << 20, topo, net, topo::Placement::kAdjacent);
-  EXPECT_EQ(tracer.spans().size(), 1u);
-  EXPECT_EQ(with.seconds, without.seconds);  // tracing changes nothing
+  topo::trace_allreduce(&tracer, 0, "allreduce.rhd", c);
+  const auto spans = events_of(tracer, sim::EventKind::kSpan);
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].duration_s(), c.seconds);
 }
 
 TEST(TraceAllreduceTest, FunctionalVariantsTraceTheSameBreakdown) {
@@ -417,11 +432,17 @@ TEST(TraceAllreduceTest, FunctionalVariantsTraceTheSameBreakdown) {
   std::vector<std::vector<float>> data(4, std::vector<float>(64, 1.0f));
   trace::Tracer tracer;
   const auto c =
-      topo::allreduce_ring(data, topo, net, topo::Placement::kAdjacent,
-                           &tracer, 0);
-  ASSERT_EQ(tracer.spans().size(), 1u);
-  EXPECT_EQ(tracer.spans()[0].name, "allreduce.ring");
-  EXPECT_DOUBLE_EQ(tracer.spans()[0].duration_s(), c.seconds);
+      topo::allreduce_ring(data, topo, net, topo::Placement::kAdjacent);
+  topo::trace_allreduce(&tracer, 0,
+                        topo::allreduce_span_name(topo::AllreduceAlgo::kRing),
+                        c);
+  const auto spans = events_of(tracer, sim::EventKind::kSpan);
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "allreduce.ring");
+  EXPECT_DOUBLE_EQ(spans[0].duration_s(), c.seconds);
+  EXPECT_EQ(c.seconds,
+            topo::cost_ring(64 * 4, topo, net, topo::Placement::kAdjacent)
+                .seconds);
 }
 
 // ---------------------------------------------------------------------------
@@ -490,7 +511,7 @@ TEST(ChromeTraceTest, JsonEscape) {
 TEST(ReportTest, JsonOutputIsValid) {
   trace::Tracer tracer;
   tracer.begin_span(0, "conv1", "layer");
-  trace::TrafficCounters c;
+  sim::TrafficCounters c;
   c.dma_get_bytes = 1 << 20;
   c.flops = 1e9;
   tracer.charge(0, c);

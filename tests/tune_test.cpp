@@ -62,15 +62,12 @@ check::Report recheck_direction(const hw::CostModel& cost,
   return check::verify_gemm(cost, s.m, s.n, s.k, choice.blocking, layer);
 }
 
-int count_spans(const trace::Tracer& tracer, const std::string& category) {
+int count_events(const trace::Tracer& tracer, sim::EventKind kind,
+                 const std::string& category) {
   int n = 0;
-  for (const auto& s : tracer.spans()) n += s.category == category;
-  return n;
-}
-
-int count_instants(const trace::Tracer& tracer, const std::string& category) {
-  int n = 0;
-  for (const auto& i : tracer.instants()) n += i.category == category;
+  for (const auto& e : tracer.log().events()) {
+    n += e.kind == kind && e.category == category;
+  }
   return n;
 }
 
@@ -234,8 +231,8 @@ TEST(PlanCacheTest, WarmCacheSkipsSearchEntirely) {
   const NetPlan plan = cold.tune_net(descs);
   ASSERT_TRUE(cold.save_cache());
   const int convs = static_cast<int>(plan.convs.size());
-  EXPECT_EQ(count_spans(cold_trace, "tune.search"), convs);
-  EXPECT_EQ(count_instants(cold_trace, "tune.cache_hit"), 0);
+  EXPECT_EQ(count_events(cold_trace, sim::EventKind::kSpan, "tune.search"), convs);
+  EXPECT_EQ(count_events(cold_trace, sim::EventKind::kInstant, "tune.cache_hit"), 0);
   // The search span models MPE-side candidate evaluation: simulated time
   // advances while tuning, proportionally to the candidates priced.
   EXPECT_GT(cold_trace.now(0), 0.0);
@@ -244,8 +241,8 @@ TEST(PlanCacheTest, WarmCacheSkipsSearchEntirely) {
   opts.tracer = &warm_trace;
   Tuner warm(cost, opts);
   warm.tune_net(descs);
-  EXPECT_EQ(count_spans(warm_trace, "tune.search"), 0);
-  EXPECT_EQ(count_instants(warm_trace, "tune.cache_hit"), convs);
+  EXPECT_EQ(count_events(warm_trace, sim::EventKind::kSpan, "tune.search"), 0);
+  EXPECT_EQ(count_events(warm_trace, sim::EventKind::kInstant, "tune.cache_hit"), convs);
   EXPECT_EQ(warm.stats().cache_hits, convs);
   EXPECT_EQ(warm.stats().layers_tuned, 0);
 }
