@@ -18,6 +18,21 @@ constexpr std::size_t kNominalBytes = 32;
 
 std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
 
+/// Appends one op with the nominal payload (a peer only for sends).
+void push(CommSchedule& sched, CommOp::Kind kind, int row, int col,
+          int peer_row = -1, int peer_col = -1) {
+  sched.ops.push_back({kind, row, col, peer_row, peer_col, kNominalBytes});
+}
+
+// Cluster schedules: rank r executes at (r, 0) and receives on the row bus.
+void send(CommSchedule& sched, int from, int to) {
+  push(sched, CommOp::Kind::kSend, from, 0, to, 0);
+}
+
+void recv(CommSchedule& sched, int at) {
+  push(sched, CommOp::Kind::kRecvRow, at, 0);
+}
+
 }  // namespace
 
 std::size_t LdmPlan::resident_bytes() const {
@@ -144,24 +159,16 @@ CommSchedule mesh_gemm_schedule(const hw::HwParams& hp) {
   for (int t = 0; t < mesh; ++t) {
     // Broadcast phase: A(i,t) along row i, B(t,j) along column j.
     for (int i = 0; i < mesh; ++i) {
-      sched.ops.push_back({CommOp::Kind::kRowBroadcast, i, t, -1, -1,
-                           kNominalBytes});
+      push(sched, CommOp::Kind::kRowBroadcast, i, t);
     }
     for (int j = 0; j < mesh; ++j) {
-      sched.ops.push_back({CommOp::Kind::kColBroadcast, t, j, -1, -1,
-                           kNominalBytes});
+      push(sched, CommOp::Kind::kColBroadcast, t, j);
     }
     // Compute phase: every non-owner pops its row/column delivery.
     for (int i = 0; i < mesh; ++i) {
       for (int j = 0; j < mesh; ++j) {
-        if (j != t) {
-          sched.ops.push_back({CommOp::Kind::kRecvRow, i, j, -1, -1,
-                               kNominalBytes});
-        }
-        if (i != t) {
-          sched.ops.push_back({CommOp::Kind::kRecvCol, i, j, -1, -1,
-                               kNominalBytes});
-        }
+        if (j != t) push(sched, CommOp::Kind::kRecvRow, i, j);
+        if (i != t) push(sched, CommOp::Kind::kRecvCol, i, j);
       }
     }
   }
@@ -309,18 +316,13 @@ CommSchedule implicit_conv_schedule(const hw::HwParams& hp) {
   // One output row: each row leader broadcasts its channel group's input
   // rows, peers drain them, then every column reduces partials into row 0.
   for (int i = 0; i < mesh; ++i) {
-    sched.ops.push_back({CommOp::Kind::kRowBroadcast, i, 0, -1, -1,
-                         kNominalBytes});
-    for (int j = 1; j < mesh; ++j) {
-      sched.ops.push_back({CommOp::Kind::kRecvRow, i, j, -1, -1,
-                           kNominalBytes});
-    }
+    push(sched, CommOp::Kind::kRowBroadcast, i, 0);
+    for (int j = 1; j < mesh; ++j) push(sched, CommOp::Kind::kRecvRow, i, j);
   }
   for (int j = 0; j < mesh; ++j) {
     for (int i = 1; i < mesh; ++i) {
-      sched.ops.push_back({CommOp::Kind::kSend, i, j, 0, j, kNominalBytes});
-      sched.ops.push_back({CommOp::Kind::kRecvCol, 0, j, -1, -1,
-                           kNominalBytes});
+      push(sched, CommOp::Kind::kSend, i, j, 0, j);
+      push(sched, CommOp::Kind::kRecvCol, 0, j);
     }
   }
   return sched;
@@ -395,41 +397,52 @@ DmaPlan transform_dma_plan(std::int64_t count, int inner_run) {
 
 // --- topo all-reduce ---------------------------------------------------------
 
+namespace {
+
+constexpr auto kSelf = [](int r) { return r; };
+
+/// One exchange round over the ranks rank(0 .. count-1): each sends to
+/// rank(partner(k)), then each receives. Sends precede receives, so no
+/// round can deadlock on its own.
+template <typename Rank, typename Partner>
+void exchange_round(CommSchedule& sched, int count, Rank rank,
+                    Partner partner) {
+  for (int k = 0; k < count; ++k) send(sched, rank(k), rank(partner(k)));
+  for (int k = 0; k < count; ++k) recv(sched, rank(k));
+}
+
+/// Appends recursive halving + doubling over `count` participants, rank(k)
+/// naming the k-th: the MPICH fold of the ranks past the power-of-two core
+/// into a core neighbour, the pairwise exchanges with partner k ^ mask
+/// (reduce-scatter halving, then allgather doubling), and the unfold back
+/// to the folded ranks.
+template <typename Rank>
+void append_rhd(CommSchedule& sched, int count, Rank rank) {
+  int rounds = 0;
+  while ((2 << rounds) <= count) ++rounds;  // floor(log2(count))
+  const int core = 1 << rounds;
+  for (int k = core; k < count; ++k) {
+    send(sched, rank(k), rank(k - core));
+    recv(sched, rank(k - core));
+  }
+  for (int phase = 0; phase < 2 * rounds; ++phase) {
+    const int mask = phase < rounds ? (1 << phase)
+                                    : (1 << (2 * rounds - 1 - phase));
+    exchange_round(sched, core, rank, [&](int k) { return k ^ mask; });
+  }
+  for (int k = core; k < count; ++k) {
+    send(sched, rank(k - core), rank(k));
+    recv(sched, rank(k));
+  }
+}
+
+}  // namespace
+
 CommSchedule rhd_allreduce_schedule(int num_nodes) {
   CommSchedule sched;
   sched.name = "allreduce_rhd";
   sched.mesh = false;
-  int rounds = 0;
-  while ((2 << rounds) <= num_nodes) ++rounds;  // floor(log2(p))
-  const int core = 1 << rounds;
-  // MPICH fold: extra ranks merge into a core neighbour up front.
-  for (int r = core; r < num_nodes; ++r) {
-    sched.ops.push_back({CommOp::Kind::kSend, r, 0, r - core, 0,
-                         kNominalBytes});
-    sched.ops.push_back({CommOp::Kind::kRecvRow, r - core, 0, -1, -1,
-                         kNominalBytes});
-  }
-  // Reduce-scatter (halving) then allgather (doubling): pairwise exchanges
-  // with partner rank ^ mask; every rank sends before it receives.
-  for (int phase = 0; phase < 2 * rounds; ++phase) {
-    const int mask = phase < rounds ? (1 << phase)
-                                    : (1 << (2 * rounds - 1 - phase));
-    for (int r = 0; r < core; ++r) {
-      sched.ops.push_back({CommOp::Kind::kSend, r, 0, r ^ mask, 0,
-                           kNominalBytes});
-    }
-    for (int r = 0; r < core; ++r) {
-      sched.ops.push_back({CommOp::Kind::kRecvRow, r, 0, -1, -1,
-                           kNominalBytes});
-    }
-  }
-  // Unfold: results flow back to the folded ranks.
-  for (int r = core; r < num_nodes; ++r) {
-    sched.ops.push_back({CommOp::Kind::kSend, r - core, 0, r, 0,
-                         kNominalBytes});
-    sched.ops.push_back({CommOp::Kind::kRecvRow, r, 0, -1, -1,
-                         kNominalBytes});
-  }
+  append_rhd(sched, num_nodes, kSelf);
   return sched;
 }
 
@@ -449,16 +462,8 @@ std::vector<CommSchedule> hierarchical_allreduce_phases(int num_nodes,
     sched.mesh = false;
     for (int t = 0; t < local_rounds; ++t) {
       const int d = gather ? (1 << t) : (q >> (t + 1));
-      for (int r = 0; r < p; ++r) {
-        const int j = r / s;
-        const int k = r % s;
-        sched.ops.push_back({CommOp::Kind::kSend, r, 0, k + (j ^ d) * s, 0,
-                             kNominalBytes});
-      }
-      for (int r = 0; r < p; ++r) {
-        sched.ops.push_back({CommOp::Kind::kRecvRow, r, 0, -1, -1,
-                             kNominalBytes});
-      }
+      exchange_round(sched, p, kSelf,
+                     [&](int r) { return r % s + ((r / s) ^ d) * s; });
     }
   };
   phases[0].name = "hier_local_rs";
@@ -467,39 +472,10 @@ std::vector<CommSchedule> hierarchical_allreduce_phases(int num_nodes,
   // Inter-supernode RHD per chunk: the s holders of member j's chunk are
   // ranks k + j * s for k = 0..s-1, running the same fold / butterfly /
   // unfold structure as the flat schedule over the k index.
-  CommSchedule& inter = phases[1];
-  inter.name = "hier_inter_rhd";
-  inter.mesh = false;
-  int inter_rounds = 0;
-  while ((2 << inter_rounds) <= s) ++inter_rounds;
-  const int core = 1 << inter_rounds;
+  phases[1].name = "hier_inter_rhd";
+  phases[1].mesh = false;
   for (int j = 0; j < q; ++j) {
-    const auto rank = [&](int k) { return k + j * s; };
-    for (int k = core; k < s; ++k) {
-      inter.ops.push_back({CommOp::Kind::kSend, rank(k), 0, rank(k - core), 0,
-                           kNominalBytes});
-      inter.ops.push_back({CommOp::Kind::kRecvRow, rank(k - core), 0, -1, -1,
-                           kNominalBytes});
-    }
-    for (int phase = 0; phase < 2 * inter_rounds; ++phase) {
-      const int mask = phase < inter_rounds
-                           ? (1 << phase)
-                           : (1 << (2 * inter_rounds - 1 - phase));
-      for (int k = 0; k < core; ++k) {
-        inter.ops.push_back({CommOp::Kind::kSend, rank(k), 0, rank(k ^ mask),
-                             0, kNominalBytes});
-      }
-      for (int k = 0; k < core; ++k) {
-        inter.ops.push_back({CommOp::Kind::kRecvRow, rank(k), 0, -1, -1,
-                             kNominalBytes});
-      }
-    }
-    for (int k = core; k < s; ++k) {
-      inter.ops.push_back({CommOp::Kind::kSend, rank(k - core), 0, rank(k), 0,
-                           kNominalBytes});
-      inter.ops.push_back({CommOp::Kind::kRecvRow, rank(k), 0, -1, -1,
-                           kNominalBytes});
-    }
+    append_rhd(phases[1], s, [&](int k) { return k + j * s; });
   }
 
   phases[2].name = "hier_local_ag";
@@ -513,14 +489,7 @@ CommSchedule ring_allreduce_schedule(int num_nodes) {
   sched.mesh = false;
   const int p = num_nodes;
   for (int round = 0; round < 2 * (p - 1); ++round) {
-    for (int r = 0; r < p; ++r) {
-      sched.ops.push_back({CommOp::Kind::kSend, r, 0, (r + 1) % p, 0,
-                           kNominalBytes});
-    }
-    for (int r = 0; r < p; ++r) {
-      sched.ops.push_back({CommOp::Kind::kRecvRow, r, 0, -1, -1,
-                           kNominalBytes});
-    }
+    exchange_round(sched, p, kSelf, [&](int r) { return (r + 1) % p; });
   }
   return sched;
 }

@@ -81,9 +81,9 @@ struct CommOp {
 };
 
 /// A communication schedule: ops in per-CPE program order (the list order
-/// restricted to one CPE is that CPE's program). rules.cpp derives the
+/// restricted to one CPE is that CPE's program). comm_graph.h derives the
 /// dependency graph — program-order edges plus FIFO send->receive matching —
-/// and rejects cycles (deadlock) and geometry violations.
+/// and check_schedule rejects cycles (deadlock) and geometry violations.
 struct CommSchedule {
   std::string name;
   /// True for 8x8 CPE-mesh schedules: enforces the row/column RLC legality
@@ -268,14 +268,15 @@ CommSchedule rhd_allreduce_schedule(int num_nodes);
 /// Ring all-reduce schedule: 2*(p-1) rounds of send-to-next/recv-from-prev.
 CommSchedule ring_allreduce_schedule(int num_nodes);
 
-/// Phase decomposition of the two-level (supernode-hierarchical) all-reduce
-/// for timeline_from_comm composition: [0] supernode-local reduce-scatter,
-/// [1] inter-supernode RHD over each chunk's holders (MPICH fold/unfold for
-/// ragged supernode counts), [2] supernode-local all-gather. Rank r is
-/// member r / s of supernode r % s (round-robin, s = num_nodes /
-/// supernode_size). The caller must pass an applicable geometry
-/// (num_nodes divisible by supernode_size, power-of-two supernode_size);
-/// the runtime falls back to rhd_allreduce_schedule otherwise.
+/// Phase decomposition of the two-level (supernode-hierarchical) all-reduce,
+/// checked composed by check_schedule over the phase list: [0]
+/// supernode-local reduce-scatter, [1] inter-supernode RHD over each chunk's
+/// holders (MPICH fold/unfold for ragged supernode counts), [2]
+/// supernode-local all-gather. Rank r is member r / s of supernode r % s
+/// (round-robin, s = num_nodes / supernode_size). The caller must pass an
+/// applicable geometry (num_nodes divisible by supernode_size, power-of-two
+/// supernode_size); the runtime falls back to rhd_allreduce_schedule
+/// otherwise.
 std::vector<CommSchedule> hierarchical_allreduce_phases(int num_nodes,
                                                         int supernode_size);
 

@@ -1,12 +1,12 @@
 #include "check/rules.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <map>
 #include <string>
-#include <tuple>
 #include <vector>
 
+#include "check/comm_graph.h"
 #include "topo/compress.h"
 
 namespace swcaffe::check {
@@ -19,32 +19,6 @@ constexpr std::size_t kShortRunBytes = 256;
 
 std::string human_bytes(std::size_t b) {
   return std::to_string(b) + " B";
-}
-
-const char* comm_kind_name(CommOp::Kind k) {
-  switch (k) {
-    case CommOp::Kind::kRowBroadcast:
-      return "row-broadcast";
-    case CommOp::Kind::kColBroadcast:
-      return "col-broadcast";
-    case CommOp::Kind::kSend:
-      return "send";
-    case CommOp::Kind::kRecvRow:
-      return "recv-row";
-    case CommOp::Kind::kRecvCol:
-      return "recv-col";
-  }
-  return "?";
-}
-
-std::string describe_op(const CommOp& op) {
-  std::string s = std::string(comm_kind_name(op.kind)) + " @(" +
-                  std::to_string(op.row) + "," + std::to_string(op.col) + ")";
-  if (op.kind == CommOp::Kind::kSend) {
-    s += "->(" + std::to_string(op.peer_row) + "," +
-         std::to_string(op.peer_col) + ")";
-  }
-  return s;
 }
 
 }  // namespace
@@ -121,134 +95,74 @@ void check_schedule(const CommSchedule& sched, const hw::HwParams& hp,
                     const Options& opts, const std::string& layer,
                     Report* report) {
   (void)opts;
-  const std::size_t n = sched.ops.size();
-  enum Bus { kRowBus = 0, kColBus = 1 };
-  using QueueKey = std::tuple<int, int, int>;  // (dst row, dst col, bus)
-  std::map<QueueKey, std::vector<std::size_t>> deliveries;
-  std::map<QueueKey, std::vector<std::size_t>> receives;
-  std::vector<std::vector<std::size_t>> succ(n);
-  std::vector<int> indegree(n, 0);
-  auto add_edge = [&](std::size_t from, std::size_t to) {
-    succ[from].push_back(to);
-    ++indegree[to];
-  };
-
-  // Program-order edges: the op list restricted to one CPE is its program.
-  std::map<std::pair<int, int>, std::size_t> last_op;
-  int illegal_pairs = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const CommOp& op = sched.ops[i];
-    const std::pair<int, int> cpe{op.row, op.col};
-    auto it = last_op.find(cpe);
-    if (it != last_op.end()) add_edge(it->second, i);
-    last_op[cpe] = i;
-
-    switch (op.kind) {
-      case CommOp::Kind::kRowBroadcast:
-        for (int c = 0; c < hp.mesh_cols; ++c) {
-          if (c != op.col) deliveries[{op.row, c, kRowBus}].push_back(i);
-        }
-        break;
-      case CommOp::Kind::kColBroadcast:
-        for (int r = 0; r < hp.mesh_rows; ++r) {
-          if (r != op.row) deliveries[{r, op.col, kColBus}].push_back(i);
-        }
-        break;
-      case CommOp::Kind::kSend: {
-        int bus = kRowBus;
-        if (sched.mesh) {
-          const bool same_row = op.peer_row == op.row;
-          const bool same_col = op.peer_col == op.col;
-          if (same_row == same_col) {  // diagonal pair or self-send
-            if (illegal_pairs++ == 0) {
-              report->add(Code::kRlcIllegalPair, Severity::kError, layer,
-                          sched.name + ": " + describe_op(op) +
-                              " crosses the mesh diagonally; RLC reaches "
-                              "only CPEs sharing a row or column");
-            }
-            break;  // undeliverable: no queue entry
-          }
-          bus = same_row ? kRowBus : kColBus;
-        }
-        deliveries[{op.peer_row, op.peer_col, bus}].push_back(i);
-        break;
-      }
-      case CommOp::Kind::kRecvRow:
-        receives[{op.row, op.col, kRowBus}].push_back(i);
-        break;
-      case CommOp::Kind::kRecvCol:
-        receives[{op.row, op.col, kColBus}].push_back(i);
-        break;
-    }
-  }
-  if (illegal_pairs > 1) {
+  const CommMatching m = match_comm(sched.ops, sched.mesh, hp);
+  if (!m.diagonal.empty()) {
     report->add(Code::kRlcIllegalPair, Severity::kError, layer,
-                sched.name + ": " + std::to_string(illegal_pairs - 1) +
+                sched.name + ": " + describe_op(sched.ops[m.diagonal[0]]) +
+                    " crosses the mesh diagonally; RLC reaches only CPEs "
+                    "sharing a row or column");
+  }
+  if (m.diagonal.size() > 1) {
+    report->add(Code::kRlcIllegalPair, Severity::kError, layer,
+                sched.name + ": " + std::to_string(m.diagonal.size() - 1) +
                     " further diagonal P2P op(s)");
   }
 
-  // FIFO matching: the k-th receive on a (CPE, bus) queue consumes the k-th
-  // message delivered to it, independent of where either sits in the list —
-  // that is what makes a recv-before-matching-send cycle *detectable* rather
-  // than trivially impossible.
-  for (const auto& [key, recvs] : receives) {
-    const auto dit = deliveries.find(key);
-    const std::size_t have = dit == deliveries.end() ? 0 : dit->second.size();
-    for (std::size_t k = 0; k < recvs.size(); ++k) {
-      if (k < have) {
-        add_edge(dit->second[k], recvs[k]);
-      }
-    }
-    if (recvs.size() > have) {
-      const CommOp& op = sched.ops[recvs[have]];
+  for (const CommQueue& q : m.queues) {
+    if (q.receives.size() > q.sends.size()) {
+      const CommOp& op = sched.ops[q.receives[q.sends.size()]];
       report->add(Code::kRlcUnmatched, Severity::kError, layer,
-                  sched.name + ": " + std::to_string(recvs.size() - have) +
+                  sched.name + ": " +
+                      std::to_string(q.receives.size() - q.sends.size()) +
                       " receive(s) with no matching send, first " +
                       describe_op(op));
     }
   }
-  for (const auto& [key, sent] : deliveries) {
-    const auto rit = receives.find(key);
-    const std::size_t want = rit == receives.end() ? 0 : rit->second.size();
-    if (sent.size() > want) {
+  for (const CommQueue& q : m.queues) {
+    if (q.sends.size() > q.receives.size()) {
       report->add(Code::kRlcUnmatched, Severity::kError, layer,
-                  sched.name + ": " + std::to_string(sent.size() - want) +
-                      " message(s) to CPE(" + std::to_string(std::get<0>(key)) +
-                      "," + std::to_string(std::get<1>(key)) +
-                      ") never received (" +
-                      (std::get<2>(key) == kRowBus ? "row" : "column") +
+                  sched.name + ": " +
+                      std::to_string(q.sends.size() - q.receives.size()) +
+                      " message(s) to CPE(" + std::to_string(q.row) + "," +
+                      std::to_string(q.col) + ") never received (" +
+                      (q.column_bus ? "column" : "row") +
                       " bus left non-empty)");
     }
   }
 
-  // Kahn's algorithm: every op must become runnable; a leftover set is a
-  // dependency cycle, i.e. the schedule deadlocks on hardware.
-  std::vector<std::size_t> ready;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (indegree[i] == 0) ready.push_back(i);
-  }
-  std::size_t done = 0;
-  while (!ready.empty()) {
-    const std::size_t i = ready.back();
-    ready.pop_back();
-    ++done;
-    for (std::size_t s : succ[i]) {
-      if (--indegree[s] == 0) ready.push_back(s);
-    }
-  }
-  if (done < n) {
-    std::string first;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (indegree[i] > 0) {
-        first = describe_op(sched.ops[i]);
-        break;
-      }
-    }
+  // Every op must become runnable; a leftover set is a dependency cycle,
+  // i.e. the schedule deadlocks on hardware.
+  const std::vector<int> order = topological_order(m.succ);
+  if (order.size() < sched.ops.size()) {
+    std::vector<bool> runs(sched.ops.size(), false);
+    for (const int i : order) runs[static_cast<std::size_t>(i)] = true;
+    std::size_t first = 0;
+    while (runs[first]) ++first;
     report->add(Code::kRlcDeadlock, Severity::kError, layer,
-                sched.name + ": " + std::to_string(n - done) +
+                sched.name + ": " +
+                    std::to_string(sched.ops.size() - order.size()) +
                     " op(s) in a send/receive dependency cycle (e.g. " +
-                    first + "); schedule deadlocks");
+                    describe_op(sched.ops[first]) + "); schedule deadlocks");
   }
+}
+
+void check_schedule(const std::vector<CommSchedule>& phases,
+                    const hw::HwParams& hp, const Options& opts,
+                    const std::string& layer, Report* report) {
+  CommSchedule composed;
+  for (const CommSchedule& phase : phases) {
+    if (phase.mesh != phases.front().mesh) {
+      report->add(Code::kGeomInvalid, Severity::kError, layer,
+                  phase.name + ": a composition mixes mesh and cluster "
+                               "phases; no single RLC legality rule applies");
+      return;
+    }
+    composed.name += (composed.name.empty() ? "" : "+") + phase.name;
+    composed.mesh = phase.mesh;
+    composed.ops.insert(composed.ops.end(), phase.ops.begin(),
+                        phase.ops.end());
+  }
+  check_schedule(composed, hp, opts, layer, report);
 }
 
 void check_retry(const RetryPlan& plan, const hw::HwParams& hp,

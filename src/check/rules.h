@@ -38,6 +38,16 @@ void check_schedule(const CommSchedule& sched, const hw::HwParams& hp,
                     const Options& opts, const std::string& layer,
                     Report* report);
 
+/// Composition soundness: `phases` run back to back (every rank executes
+/// phase 0's ops, then phase 1's, ...) are one longer schedule, their op
+/// lists concatenated, so program order and FIFO matching span the whole
+/// composition. A cycle that appears only when individually sound phases
+/// interleave is an rlc-deadlock. All phases must share one `mesh` flag
+/// (geom-invalid otherwise).
+void check_schedule(const std::vector<CommSchedule>& phases,
+                    const hw::HwParams& hp, const Options& opts,
+                    const std::string& layer, Report* report);
+
 /// Retry-plan soundness (swfault): the buffered round must fit its resend
 /// buffer, the buffer must fit the CPE scratchpad (retry-buffer-overflow,
 /// error), and the full retry ladder must complete before the escalation

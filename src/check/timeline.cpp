@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <utility>
+
+#include "check/comm_graph.h"
 
 namespace swcaffe::check {
 
@@ -69,81 +70,51 @@ bool validate(const TimelineGraph& g, Report* report) {
   return ok;
 }
 
+/// The events occupying resource r, sorted by start time (ties broken by
+/// insertion order so every derived diagnostic and edge is deterministic).
+std::vector<int> events_on(const TimelineGraph& g, int r) {
+  std::vector<int> on;
+  for (int i = 0; i < static_cast<int>(g.events.size()); ++i) {
+    if (g.events[static_cast<std::size_t>(i)].resource == r) on.push_back(i);
+  }
+  std::stable_sort(on.begin(), on.end(), [&](int a, int b) {
+    return g.events[static_cast<std::size_t>(a)].start_s <
+           g.events[static_cast<std::size_t>(b)].start_s;
+  });
+  return on;
+}
+
 /// The full happens-before edge set: program order within each actor,
 /// explicit extractor edges, and the serialization order of every exclusive
-/// resource (its events sorted by start time; ties broken by insertion
-/// order so the set is deterministic).
+/// resource (the resource serves its events one at a time, which orders
+/// them even across actors).
 struct HbGraph {
   std::vector<std::vector<int>> succ;
-  std::vector<int> indegree;
-  /// Per-actor event lists in program order; pos[e] = index within actor.
-  std::vector<std::vector<int>> actor_events;
-  std::vector<int> pos;
+  std::vector<int> pos;  ///< index of each event within its actor's program
 
-  explicit HbGraph(const TimelineGraph& g) {
-    const int n = static_cast<int>(g.events.size());
-    succ.resize(static_cast<std::size_t>(n));
-    indegree.assign(static_cast<std::size_t>(n), 0);
-    pos.assign(static_cast<std::size_t>(n), 0);
-    actor_events.resize(g.actors.size());
-    for (int i = 0; i < n; ++i) {
-      auto& lane =
-          actor_events[static_cast<std::size_t>(g.events[static_cast<std::size_t>(i)].actor)];
-      if (!lane.empty()) add(lane.back(), i);
-      pos[static_cast<std::size_t>(i)] = static_cast<int>(lane.size());
-      lane.push_back(i);
+  explicit HbGraph(const TimelineGraph& g)
+      : succ(g.events.size()), pos(g.events.size(), 0) {
+    std::vector<int> last(g.actors.size(), -1);  // latest event per actor
+    for (std::size_t i = 0; i < g.events.size(); ++i) {
+      int& prev = last[static_cast<std::size_t>(g.events[i].actor)];
+      if (prev >= 0) {
+        add(prev, static_cast<int>(i));
+        pos[i] = pos[static_cast<std::size_t>(prev)] + 1;
+      }
+      prev = static_cast<int>(i);
     }
     for (const TimelineEdge& e : g.edges) add(e.from, e.to);
-    // Exclusive-resource serialization: the resource serves its events one
-    // at a time, which orders them even across actors.
     for (int r = 0; r < static_cast<int>(g.resources.size()); ++r) {
       if (!g.resources[static_cast<std::size_t>(r)].exclusive) continue;
-      std::vector<int> on;
-      for (int i = 0; i < n; ++i) {
-        if (g.events[static_cast<std::size_t>(i)].resource == r) on.push_back(i);
-      }
-      std::stable_sort(on.begin(), on.end(), [&](int a, int b) {
-        return g.events[static_cast<std::size_t>(a)].start_s <
-               g.events[static_cast<std::size_t>(b)].start_s;
-      });
+      const std::vector<int> on = events_on(g, r);
       for (std::size_t k = 1; k < on.size(); ++k) add(on[k - 1], on[k]);
     }
   }
 
   void add(int from, int to) {
     succ[static_cast<std::size_t>(from)].push_back(to);
-    ++indegree[static_cast<std::size_t>(to)];
   }
 };
-
-/// Kahn topological order; empty when the graph has a cycle.
-std::vector<int> topo_order(const HbGraph& hb) {
-  const int n = static_cast<int>(hb.indegree.size());
-  std::vector<int> indeg = hb.indegree;
-  std::vector<int> order;
-  order.reserve(static_cast<std::size_t>(n));
-  // A min-ordered ready list keeps the order (and therefore any diagnostic
-  // derived from it) deterministic.
-  std::vector<int> ready;
-  for (int i = 0; i < n; ++i) {
-    if (indeg[static_cast<std::size_t>(i)] == 0) ready.push_back(i);
-  }
-  std::make_heap(ready.begin(), ready.end(), std::greater<int>());
-  while (!ready.empty()) {
-    std::pop_heap(ready.begin(), ready.end(), std::greater<int>());
-    const int i = ready.back();
-    ready.pop_back();
-    order.push_back(i);
-    for (const int s : hb.succ[static_cast<std::size_t>(i)]) {
-      if (--indeg[static_cast<std::size_t>(s)] == 0) {
-        ready.push_back(s);
-        std::push_heap(ready.begin(), ready.end(), std::greater<int>());
-      }
-    }
-  }
-  if (static_cast<int>(order.size()) < n) order.clear();
-  return order;
-}
 
 // --- Pass 1: exclusive-resource overlap -------------------------------------
 
@@ -151,18 +122,10 @@ void pass_overlap(const TimelineGraph& g, Report* report) {
   for (int r = 0; r < static_cast<int>(g.resources.size()); ++r) {
     const TimelineResource& res = g.resources[static_cast<std::size_t>(r)];
     if (!res.exclusive) continue;
-    std::vector<int> on;
-    for (int i = 0; i < static_cast<int>(g.events.size()); ++i) {
-      if (g.events[static_cast<std::size_t>(i)].resource == r) on.push_back(i);
-    }
-    std::stable_sort(on.begin(), on.end(), [&](int a, int b) {
-      return g.events[static_cast<std::size_t>(a)].start_s <
-             g.events[static_cast<std::size_t>(b)].start_s;
-    });
     // Sorted by start, so it suffices to track the latest finisher seen:
     // any event starting before it ends is double-booked.
     int open = -1;
-    for (const int i : on) {
+    for (const int i : events_on(g, r)) {
       const TimelineEvent& ev = g.events[static_cast<std::size_t>(i)];
       if (open >= 0) {
         const TimelineEvent& prev = g.events[static_cast<std::size_t>(open)];
@@ -270,32 +233,6 @@ void pass_races(const TimelineGraph& g, const HbGraph& hb,
                 const std::vector<int>& order, Report* report) {
   const std::size_t actors = g.actors.size();
   const std::size_t n = g.events.size();
-  // clock[e][a] = how many of actor a's events happen-before (or are) e.
-  std::vector<std::vector<int>> clock(n, std::vector<int>(actors, 0));
-  std::vector<std::vector<int>> preds(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const int s : hb.succ[i]) {
-      preds[static_cast<std::size_t>(s)].push_back(static_cast<int>(i));
-    }
-  }
-  for (const int e : order) {
-    auto& vc = clock[static_cast<std::size_t>(e)];
-    for (const int p : preds[static_cast<std::size_t>(e)]) {
-      const auto& pv = clock[static_cast<std::size_t>(p)];
-      for (std::size_t a = 0; a < actors; ++a) vc[a] = std::max(vc[a], pv[a]);
-    }
-    const auto actor = static_cast<std::size_t>(
-        g.events[static_cast<std::size_t>(e)].actor);
-    vc[actor] =
-        std::max(vc[actor], hb.pos[static_cast<std::size_t>(e)] + 1);
-  }
-  const auto happens_before = [&](int a, int b) {
-    const TimelineEvent& ea = g.events[static_cast<std::size_t>(a)];
-    return clock[static_cast<std::size_t>(b)]
-                [static_cast<std::size_t>(ea.actor)] >=
-           hb.pos[static_cast<std::size_t>(a)] + 1;
-  };
-
   // Accesses grouped per state key (std::map: deterministic iteration).
   struct Access {
     int event;
@@ -307,6 +244,31 @@ void pass_races(const TimelineGraph& g, const HbGraph& hb,
       by_state[a.state].push_back({static_cast<int>(i), a.write});
     }
   }
+  // A race needs two accesses; without any, skip the events x actors clocks.
+  if (by_state.empty()) return;
+
+  // clock[e][a] = how many of actor a's events happen-before (or are) e.
+  // In topological order every predecessor has pushed its final clock into
+  // e before e pushes its own on.
+  std::vector<std::vector<int>> clock(n, std::vector<int>(actors, 0));
+  for (const int e : order) {
+    auto& vc = clock[static_cast<std::size_t>(e)];
+    const auto actor = static_cast<std::size_t>(
+        g.events[static_cast<std::size_t>(e)].actor);
+    vc[actor] =
+        std::max(vc[actor], hb.pos[static_cast<std::size_t>(e)] + 1);
+    for (const int s : hb.succ[static_cast<std::size_t>(e)]) {
+      auto& sv = clock[static_cast<std::size_t>(s)];
+      for (std::size_t a = 0; a < actors; ++a) sv[a] = std::max(sv[a], vc[a]);
+    }
+  }
+  const auto happens_before = [&](int a, int b) {
+    const TimelineEvent& ea = g.events[static_cast<std::size_t>(a)];
+    return clock[static_cast<std::size_t>(b)]
+                [static_cast<std::size_t>(ea.actor)] >=
+           hb.pos[static_cast<std::size_t>(a)] + 1;
+  };
+
   for (const auto& [state, accesses] : by_state) {
     bool reported = false;
     for (std::size_t i = 0; i < accesses.size() && !reported; ++i) {
@@ -334,32 +296,18 @@ void pass_races(const TimelineGraph& g, const HbGraph& hb,
 
 // --- Pass 5: dependency cycles ----------------------------------------------
 
-/// Reports one representative cycle by walking still-blocked events.
-void report_cycle(const TimelineGraph& g, const HbGraph& hb, Report* report) {
-  std::vector<int> indeg = hb.indegree;
-  std::vector<int> ready;
-  for (std::size_t i = 0; i < indeg.size(); ++i) {
-    if (indeg[i] == 0) ready.push_back(static_cast<int>(i));
-  }
-  std::size_t done = 0;
-  while (!ready.empty()) {
-    const int i = ready.back();
-    ready.pop_back();
-    ++done;
-    for (const int s : hb.succ[static_cast<std::size_t>(i)]) {
-      if (--indeg[static_cast<std::size_t>(s)] == 0) ready.push_back(s);
-    }
-  }
-  std::string example;
-  for (std::size_t i = 0; i < indeg.size(); ++i) {
-    if (indeg[i] > 0) {
-      example = g.events[i].name;
-      break;
-    }
-  }
+/// Reports the events the partial topological order never reached: those
+/// on a happens-before cycle or blocked behind one.
+void report_cycle(const TimelineGraph& g, const std::vector<int>& order,
+                  Report* report) {
+  std::vector<bool> runs(g.events.size(), false);
+  for (const int e : order) runs[static_cast<std::size_t>(e)] = true;
+  std::size_t first = 0;
+  while (runs[first]) ++first;
   report->add(Code::kTimelineCycle, Severity::kError, g.name,
-              std::to_string(g.events.size() - done) +
-                  " event(s) in a happens-before cycle (e.g. " + example +
+              std::to_string(g.events.size() - order.size()) +
+                  " event(s) in a happens-before cycle (e.g. " +
+                  g.events[first].name +
                   "); the schedule can never make progress");
 }
 
@@ -399,11 +347,11 @@ void check_timeline(const TimelineGraph& graph, const Options& opts,
   pass_deadline(graph, report);
   pass_gang(graph, report);
   const HbGraph hb(graph);
-  const std::vector<int> order = topo_order(hb);
-  if (order.empty() && !graph.events.empty()) {
+  const std::vector<int> order = topological_order(hb.succ);
+  if (order.size() < graph.events.size()) {
     // Vector clocks are meaningless on a cyclic graph; report the deadlock
     // and stop — fixing it will re-enable the race pass.
-    report_cycle(graph, hb, report);
+    report_cycle(graph, order, report);
     return;
   }
   pass_races(graph, hb, order, report);

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <map>
-#include <tuple>
 #include <utility>
+
+#include "base/log.h"
+#include "check/comm_graph.h"
 
 namespace swcaffe::check {
 
@@ -15,32 +17,6 @@ std::string grad_state(int layer) {
 
 std::string req_state(std::int64_t id) {
   return "req" + std::to_string(id);
-}
-
-const char* comm_kind_name(CommOp::Kind k) {
-  switch (k) {
-    case CommOp::Kind::kRowBroadcast:
-      return "row-broadcast";
-    case CommOp::Kind::kColBroadcast:
-      return "col-broadcast";
-    case CommOp::Kind::kSend:
-      return "send";
-    case CommOp::Kind::kRecvRow:
-      return "recv-row";
-    case CommOp::Kind::kRecvCol:
-      return "recv-col";
-  }
-  return "?";
-}
-
-std::string describe_comm_op(const CommOp& op) {
-  std::string s = std::string(comm_kind_name(op.kind)) + " @(" +
-                  std::to_string(op.row) + "," + std::to_string(op.col) + ")";
-  if (op.kind == CommOp::Kind::kSend) {
-    s += "->(" + std::to_string(op.peer_row) + "," +
-         std::to_string(op.peer_col) + ")";
-  }
-  return s;
 }
 
 }  // namespace
@@ -342,59 +318,27 @@ TimelineGraph timeline_from_comm(const std::string& name,
   }
 
   // Events are untimed points: the composition is a pure dependency
-  // structure. Per-rank program order concatenates the phases; FIFO
-  // send/receive matching spans the merged op stream, exactly the
-  // check_schedule discipline but across phase boundaries.
-  enum Bus { kRowBus = 0, kColBus = 1 };
-  using QueueKey = std::tuple<int, int, int>;  // (dst row, dst col, bus)
-  std::map<QueueKey, std::vector<int>> deliveries;
-  std::map<QueueKey, std::vector<int>> receives;
+  // structure. Per-rank program order (the actors) concatenates the
+  // phases; FIFO send/receive matching spans the merged op stream, exactly
+  // check_schedule's composition.
+  std::vector<CommOp> ops;
   for (std::size_t p = 0; p < phases.size(); ++p) {
-    const CommSchedule& phase = phases[p];
-    for (const CommOp& op : phase.ops) {
+    SWC_CHECK_MSG(phases[p].mesh == phases[0].mesh,
+                  name << ": phase " << phases[p].name
+                       << " mixes mesh and cluster schedules");
+    for (const CommOp& op : phases[p].ops) {
       TimelineEvent ev;
-      ev.name = "p" + std::to_string(p) + " " + describe_comm_op(op);
+      ev.name = "p" + std::to_string(p) + " " + describe_op(op);
       ev.actor = actors.at({op.row, op.col});
       ev.bytes = static_cast<std::int64_t>(op.bytes);
-      const int idx = g.add_event(std::move(ev));
-      switch (op.kind) {
-        case CommOp::Kind::kRowBroadcast:
-          for (int c = 0; c < hp.mesh_cols; ++c) {
-            if (c != op.col) deliveries[{op.row, c, kRowBus}].push_back(idx);
-          }
-          break;
-        case CommOp::Kind::kColBroadcast:
-          for (int r = 0; r < hp.mesh_rows; ++r) {
-            if (r != op.row) deliveries[{r, op.col, kColBus}].push_back(idx);
-          }
-          break;
-        case CommOp::Kind::kSend: {
-          int bus = kRowBus;
-          if (phase.mesh) {
-            const bool same_row = op.peer_row == op.row;
-            const bool same_col = op.peer_col == op.col;
-            if (same_row == same_col) break;  // undeliverable: check_schedule's
-            bus = same_row ? kRowBus : kColBus;  // kRlcIllegalPair territory
-          }
-          deliveries[{op.peer_row, op.peer_col, bus}].push_back(idx);
-          break;
-        }
-        case CommOp::Kind::kRecvRow:
-          receives[{op.row, op.col, kRowBus}].push_back(idx);
-          break;
-        case CommOp::Kind::kRecvCol:
-          receives[{op.row, op.col, kColBus}].push_back(idx);
-          break;
-      }
+      g.add_event(std::move(ev));
+      ops.push_back(op);
     }
   }
-  for (const auto& [key, recvs] : receives) {
-    const auto dit = deliveries.find(key);
-    if (dit == deliveries.end()) continue;  // unmatched: per-plan property
-    const std::size_t have = dit->second.size();
-    for (std::size_t k = 0; k < recvs.size() && k < have; ++k) {
-      g.add_edge(dit->second[k], recvs[k], "fifo message");
-    }
+  const CommMatching m =
+      match_comm(ops, !phases.empty() && phases[0].mesh, hp);
+  for (const auto& [send, recv] : m.messages) {
+    g.add_edge(send, recv, "fifo message");
   }
   return g;
 }

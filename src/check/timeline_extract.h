@@ -33,10 +33,12 @@
 //
 //  * timeline_from_comm — the global (cross-node) communication graph: one
 //    or more CommSchedules composed in phase order (e.g. the per-bucket
-//    collectives one node runs back to back). FIFO send/receive matching
-//    runs across the WHOLE composition, so a cycle that only appears when
-//    two individually-sound schedules interleave — invisible to the
-//    per-plan check_schedule rule — is still a timeline-cycle.
+//    collectives one node runs back to back), one actor per rank. Events
+//    and message edges come from the same send/receive matcher as
+//    check_schedule (comm_graph.h), so a cross-phase cycle is a
+//    timeline-cycle here and an rlc-deadlock of the composed
+//    check_schedule. The verify_* drivers use the cheaper check_schedule;
+//    this graph is what swcaffe_check --timeline judges and exports.
 //
 // Extractors only build graphs; all judging happens in check_timeline.
 #pragma once
@@ -106,10 +108,10 @@ TimelineGraph timeline_from_schedule(const std::string& name,
 
 /// Builds the composed cross-node communication graph of `phases` run back
 /// to back (each rank executes phase 0's ops, then phase 1's, ...). Send/
-/// receive FIFO matching spans the whole composition. Events are untimed
-/// (the composition is a pure dependency structure), so only the race and
-/// cycle passes judge it; unmatched sends/receives are per-plan properties
-/// left to check_schedule.
+/// receive FIFO matching spans the whole composition; all phases must share
+/// one `mesh` flag (throws base::CheckError otherwise). Events are untimed
+/// (the composition is a pure dependency structure), so only the cycle pass
+/// judges it; unmatched sends/receives are left to check_schedule.
 TimelineGraph timeline_from_comm(const std::string& name,
                                  const std::vector<CommSchedule>& phases,
                                  const hw::HwParams& hp = {});

@@ -4,8 +4,6 @@
 #include <string>
 
 #include "check/plan_model.h"
-#include "check/timeline.h"
-#include "check/timeline_extract.h"
 #include "swdnn/conv_plan.h"
 #include "topo/hierarchical.h"
 
@@ -330,21 +328,52 @@ Report verify_net(const hw::CostModel& cost,
 
 namespace {
 
-/// Checks each phase of the engaged two-level all-reduce, then the composed
-/// local-RS -> inter-RHD -> local-AG stream: it must stay race- and
-/// cycle-free when every rank runs the phases back to back (FIFO matching
-/// spans the whole composition).
-void check_hierarchical_phases(int num_nodes, int supernode_size,
-                               const Options& opts, const std::string& layer,
-                               Report* report) {
-  const hw::HwParams hp;
-  const std::vector<CommSchedule> phases =
-      hierarchical_allreduce_phases(num_nodes, supernode_size);
+/// The schedule(s) `algo` runs over `num_nodes`: one for the flat
+/// algorithms, the three phases of the two-level all-reduce when the
+/// hierarchy engages. The runtime falls back to flat RHD when it does not,
+/// so the checker judges the schedule that would actually run.
+std::vector<CommSchedule> allreduce_phases(topo::AllreduceAlgo algo,
+                                           int num_nodes, int supernode_size) {
+  switch (algo) {
+    case topo::AllreduceAlgo::kHierarchical:
+      if (topo::hierarchical_applicable({num_nodes, supernode_size})) {
+        return hierarchical_allreduce_phases(num_nodes, supernode_size);
+      }
+      break;
+    case topo::AllreduceAlgo::kRing:
+      return {ring_allreduce_schedule(num_nodes)};
+    case topo::AllreduceAlgo::kParamServer: {
+      // Every worker pushes to rank 0 and pulls the result.
+      CommSchedule sched;
+      sched.name = "allreduce_ps";
+      sched.mesh = false;
+      for (int r = 1; r < num_nodes; ++r) {
+        sched.ops.push_back({CommOp::Kind::kSend, r, 0, 0, 0, 32});
+        sched.ops.push_back({CommOp::Kind::kRecvRow, 0, 0, -1, -1, 32});
+      }
+      for (int r = 1; r < num_nodes; ++r) {
+        sched.ops.push_back({CommOp::Kind::kSend, 0, 0, r, 0, 32});
+        sched.ops.push_back({CommOp::Kind::kRecvRow, r, 0, -1, -1, 32});
+      }
+      return {sched};
+    }
+    case topo::AllreduceAlgo::kRhdAdjacent:
+    case topo::AllreduceAlgo::kRhdRoundRobin:
+      break;  // both RHD placements share one schedule
+  }
+  return {rhd_allreduce_schedule(num_nodes)};
+}
+
+/// Checks each phase, then a multi-phase collective's composition: every
+/// rank runs the phases back to back, so program order and FIFO matching
+/// span them all and a cross-phase cycle is an rlc-deadlock.
+void check_phases(const std::vector<CommSchedule>& phases, const Options& opts,
+                  const std::string& layer, Report* report) {
+  const hw::HwParams hp;  // only mesh dims matter; cluster schedules skip them
   for (const CommSchedule& phase : phases) {
     check_schedule(phase, hp, opts, layer, report);
   }
-  report->merge(
-      verify_timeline(timeline_from_comm(layer + "-phases", phases, hp)));
+  if (phases.size() > 1) check_schedule(phases, hp, opts, layer, report);
 }
 
 }  // namespace
@@ -359,46 +388,8 @@ Report verify_allreduce(topo::AllreduceAlgo algo, int num_nodes,
                "allreduce over " + std::to_string(num_nodes) + " nodes");
     return report;
   }
-  hw::HwParams hp;  // only mesh dims matter, and cluster schedules skip them
-  switch (algo) {
-    case topo::AllreduceAlgo::kRhdAdjacent:
-    case topo::AllreduceAlgo::kRhdRoundRobin:
-      check_schedule(rhd_allreduce_schedule(num_nodes), hp, opts, layer,
-                     &report);
-      break;
-    case topo::AllreduceAlgo::kHierarchical:
-      // The runtime falls back to flat RHD when the hierarchy does not
-      // engage, so the checker judges the schedule that would actually run.
-      if (topo::hierarchical_applicable({num_nodes, supernode_size})) {
-        check_hierarchical_phases(num_nodes, supernode_size, opts, layer,
-                                  &report);
-      } else {
-        check_schedule(rhd_allreduce_schedule(num_nodes), hp, opts, layer,
-                       &report);
-      }
-      break;
-    case topo::AllreduceAlgo::kRing:
-      check_schedule(ring_allreduce_schedule(num_nodes), hp, opts, layer,
-                     &report);
-      break;
-    case topo::AllreduceAlgo::kParamServer: {
-      // Parameter server: every worker pushes to rank 0 and pulls the
-      // result.
-      CommSchedule sched;
-      sched.name = "allreduce_ps";
-      sched.mesh = false;
-      for (int r = 1; r < num_nodes; ++r) {
-        sched.ops.push_back({CommOp::Kind::kSend, r, 0, 0, 0, 32});
-        sched.ops.push_back({CommOp::Kind::kRecvRow, 0, 0, -1, -1, 32});
-      }
-      for (int r = 1; r < num_nodes; ++r) {
-        sched.ops.push_back({CommOp::Kind::kSend, 0, 0, r, 0, 32});
-        sched.ops.push_back({CommOp::Kind::kRecvRow, r, 0, -1, -1, 32});
-      }
-      check_schedule(sched, hp, opts, layer, &report);
-      break;
-    }
-  }
+  check_phases(allreduce_phases(algo, num_nodes, supernode_size), opts, layer,
+               &report);
   return report;
 }
 
@@ -408,13 +399,11 @@ Report verify_comm(const CommPlan& plan, const Options& opts) {
   check_comm(plan, opts, layer, &report);
   if (!report.ok()) return report;
   topo::AllreduceAlgo algo{};
-  const bool hierarchical =
-      topo::allreduce_algo_from_name(plan.algorithm.c_str(), &algo) &&
-      algo == topo::AllreduceAlgo::kHierarchical;
-  if (hierarchical && topo::hierarchical_applicable(
-                          {plan.num_nodes, plan.supernode_size})) {
-    check_hierarchical_phases(plan.num_nodes, plan.supernode_size, opts, layer,
-                              &report);
+  if (topo::allreduce_algo_from_name(plan.algorithm.c_str(), &algo) &&
+      algo == topo::AllreduceAlgo::kHierarchical &&
+      topo::hierarchical_applicable({plan.num_nodes, plan.supernode_size})) {
+    check_phases(allreduce_phases(algo, plan.num_nodes, plan.supernode_size),
+                 opts, layer, &report);
   }
   return report;
 }

@@ -68,16 +68,16 @@ Report verify_net(const hw::CostModel& cost,
                   const Options& opts = {});
 
 /// All-reduce schedule check of `algo` (both RHD placements share one
-/// schedule). kHierarchical checks each phase's schedule AND the composed
-/// phase-order timeline (timeline_from_comm across local reduce-scatter ->
-/// inter RHD -> local all-gather); geometries where the hierarchy cannot
-/// engage fall back to the flat RHD schedule, mirroring the runtime.
+/// schedule). kHierarchical checks each phase's schedule AND their
+/// composition (local reduce-scatter -> inter RHD -> local all-gather as
+/// one check_schedule over the phase list); geometries where the hierarchy
+/// cannot engage fall back to the flat RHD schedule, mirroring the runtime.
 Report verify_allreduce(topo::AllreduceAlgo algo, int num_nodes,
                         const Options& opts = {}, int supernode_size = 256);
 
 /// Communication-config check (algorithm x compression x buckets): the
 /// check_comm legality rules, plus — for hierarchical plans that engage —
-/// the composed phase-order timeline. swtune rejects candidates through
+/// the per-phase and composed schedule checks of verify_allreduce. swtune rejects candidates through
 /// this driver before pricing them; the trainers assert it on
 /// construction.
 Report verify_comm(const CommPlan& plan, const Options& opts = {});

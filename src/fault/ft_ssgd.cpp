@@ -216,10 +216,8 @@ StepResult FtSsgdTrainer::step(std::span<const float> data,
       // (staleness 1); every contribution is weighted equally.
       std::vector<float> agg = grads[0];
       for (std::size_t i = 0; i < n; ++i) agg[i] += stale_sum_[i];
-      if (options_.ssgd.average) {
-        const float inv = 1.0f / static_cast<float>(p + stale_count_);
-        for (auto& v : agg) v *= inv;
-      }
+      const float inv = 1.0f / static_cast<float>(p + stale_count_);
+      for (auto& v : agg) v *= inv;
       ssgd_.apply_aggregate(agg);
       stale_sum_.clear();
       stale_count_ = 0;
@@ -253,7 +251,7 @@ StepResult FtSsgdTrainer::step(std::span<const float> data,
       for (std::size_t i = 0; i < n; ++i) stale_sum_[i] += grads[node][i];
     }
     stale_count_ = static_cast<int>(late.size());
-    if (options_.ssgd.average && contributions > 0) {
+    if (contributions > 0) {
       const float inv = 1.0f / static_cast<float>(contributions);
       for (auto& v : agg) v *= inv;
     }

@@ -37,8 +37,6 @@ struct SsgdOptions {
   topo::NetParams net = topo::sunway_network();
   int supernode_size = 256;
   int param_servers = 1;
-  /// Average (true, the paper's SSGD) or plain-sum gradients.
-  bool average = true;
   /// Layer-aligned gradient buckets of the all-reduce (topo/overlap). 1 =
   /// the paper's single packed message. More buckets let the analytic
   /// overlap schedule hide collectives under backward; the functional

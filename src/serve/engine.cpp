@@ -58,14 +58,12 @@ double InferenceEngine::price_batch(int batch, tune::Tuner* tuner) {
   std::map<std::string, dnn::ConvEstimate> overrides;
   if (tuner) {
     const tune::NetPlan plan = tuner->tune_net(descs);
-    if (options_.verify) {
-      for (const auto& [name, conv] : plan.convs) {
-        verify_tuned_plan(conv);
-        ++stats_.plans_verified;
-      }
+    for (const auto& [name, conv] : plan.convs) {
+      verify_tuned_plan(conv);
+      ++stats_.plans_verified;
     }
     overrides = plan.overrides();
-  } else if (options_.verify) {
+  } else {
     const check::Report report = check::verify_net(cost_, descs);
     SWC_CHECK_MSG(report.ok(), "default plans for "
                                    << model_name_ << " batch " << batch

@@ -44,9 +44,6 @@ struct EngineOptions {
   /// Persistent plan cache (tune only): loaded before the searches, written
   /// back by save_cache().
   std::string plan_cache;
-  /// swcheck-verify every plan before pricing (tuned plans must verify
-  /// silent; default plans must be error-free). Throws on violation.
-  bool verify = true;
   /// Optional trace sink for tune.search / tune.cache_hit activity.
   trace::Tracer* tracer = nullptr;
   int trace_track = 0;

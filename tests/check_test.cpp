@@ -5,6 +5,8 @@
 // exactly that throw.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "base/log.h"
@@ -226,8 +228,8 @@ TEST(RlcRules, AllreduceSchedulesAreDeadlockFree) {
 
 TEST(RlcRules, HierarchicalAllreduceSchedulesAreDeadlockFree) {
   constexpr topo::AllreduceAlgo kHier = topo::AllreduceAlgo::kHierarchical;
-  // Engaging geometries: every phase schedule plus the composed phase-order
-  // timeline must be silent.
+  // Engaging geometries: every phase schedule plus their composition must
+  // be silent.
   for (auto [nodes, q] : {std::pair{16, 4}, {1024, 256}, {24, 8}}) {
     const Report report = verify_allreduce(kHier, nodes, Options{}, q);
     EXPECT_TRUE(report.diagnostics().empty())
@@ -241,6 +243,68 @@ TEST(RlcRules, HierarchicalAllreduceSchedulesAreDeadlockFree) {
         << "hier fallback " << nodes << "/" << q << ": " << report.summary();
   }
   EXPECT_TRUE(verify_allreduce(kHier, 0).has(Code::kGeomInvalid));
+}
+
+// --- Composed phases (check_schedule over a phase list) ----------------------
+
+Report check_composed(const std::vector<CommSchedule>& phases) {
+  Report report;
+  check_schedule(phases, kHp, Options{}, "composed", &report);
+  return report;
+}
+
+TEST(ComposedRules, CrossPhaseCycleIsADeadlock) {
+  // Phase 0: both ranks receive. Phase 1: both ranks send. Each phase alone
+  // only leaves messages unmatched; run back to back, rank 1's send meets
+  // rank 0's earlier receive and vice versa, and the wait is circular.
+  CommSchedule recvs;
+  recvs.name = "phase-recv";
+  recvs.mesh = false;
+  recvs.ops.push_back({CommOp::Kind::kRecvRow, 0, 0, -1, -1, 8});
+  recvs.ops.push_back({CommOp::Kind::kRecvRow, 1, 0, -1, -1, 8});
+  CommSchedule sends;
+  sends.name = "phase-send";
+  sends.mesh = false;
+  sends.ops.push_back({CommOp::Kind::kSend, 0, 0, 1, 0, 8});
+  sends.ops.push_back({CommOp::Kind::kSend, 1, 0, 0, 0, 8});
+  const Report cyclic = check_composed({recvs, sends});
+  EXPECT_TRUE(cyclic.has(Code::kRlcDeadlock)) << cyclic.summary();
+  EXPECT_FALSE(cyclic.has(Code::kRlcUnmatched)) << cyclic.summary();
+  const Report sound = check_composed({sends, recvs});
+  EXPECT_TRUE(sound.empty()) << sound.summary();
+}
+
+TEST(ComposedRules, ReversedHierarchicalInterPhaseDeadlocks) {
+  // Reversing the inter-supernode phase turns every send-then-receive RHD
+  // exchange into receive-then-send on both partners.
+  std::vector<CommSchedule> phases = hierarchical_allreduce_phases(16, 4);
+  std::reverse(phases[1].ops.begin(), phases[1].ops.end());
+  const Report report = check_composed(phases);
+  ASSERT_EQ(report.diagnostics().size(), 1u) << report.summary();
+  EXPECT_TRUE(report.has(Code::kRlcDeadlock));
+  EXPECT_NE(report.summary().find("192 op(s) in a send/receive dependency"),
+            std::string::npos)
+      << report.summary();
+}
+
+TEST(ComposedRules, ShippedCompositionsAreSilent) {
+  // Four per-bucket RHD collectives back to back, and the three-phase
+  // hierarchical decomposition at clean and ragged geometries.
+  const std::vector<CommSchedule> rhd_x4(4, rhd_allreduce_schedule(8));
+  EXPECT_TRUE(check_composed(rhd_x4).empty())
+      << check_composed(rhd_x4).summary();
+  for (auto [nodes, q] : {std::pair{16, 4}, {24, 8}, {1024, 256}}) {
+    const Report report =
+        check_composed(hierarchical_allreduce_phases(nodes, q));
+    EXPECT_TRUE(report.empty()) << nodes << "/" << q << ": "
+                                << report.summary();
+  }
+}
+
+TEST(ComposedRules, MixedMeshAndClusterPhasesAreInvalid) {
+  const Report report =
+      check_composed({mesh_gemm_schedule(kHp), rhd_allreduce_schedule(4)});
+  EXPECT_TRUE(report.has(Code::kGeomInvalid)) << report.summary();
 }
 
 // --- Communication-config legality (algorithm x compression) -----------------
@@ -333,9 +397,9 @@ TEST(CommRules, UnknownNamesAndDegenerateGeometryAreInvalid) {
 }
 
 TEST(CommRules, VerifyCommComposesHierarchicalTimeline) {
-  // For engaging hierarchical plans verify_comm additionally runs the
-  // composed phase-order timeline; both engaging and fallback geometries
-  // must come back clean.
+  // For engaging hierarchical plans verify_comm additionally checks the
+  // composed phase schedule; both engaging and fallback geometries must
+  // come back clean.
   CommPlan p = sane_comm_plan();
   p.num_nodes = 16;
   p.supernode_size = 4;

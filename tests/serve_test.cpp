@@ -236,12 +236,6 @@ TEST(EngineTest, IllegalCachedPlanIsRefusedBeforePricing) {
   opts.tune = true;
   opts.plan_cache = path;
   EXPECT_THROW(make_engine(cost, 1, opts), base::CheckError);
-
-  // Without verification the poisoned plan prices silently — the re-verify
-  // pass is what stands between a bad cache file and the latency model.
-  opts.verify = false;
-  const InferenceEngine unchecked = make_engine(cost, 1, opts);
-  EXPECT_EQ(unchecked.stats().cache_hits, 1);
 }
 
 // ---------------------------------------------------------------------------

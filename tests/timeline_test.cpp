@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/log.h"
 #include "check/plan_model.h"
 #include "check/timeline.h"
 #include "check/timeline_extract.h"
@@ -194,6 +195,14 @@ TEST(TimelineBroken, CrossPhaseCommCycleFiresCycle) {
   // Reversed composition (send, then receive) is the sound ordering.
   EXPECT_TRUE(
       verify_timeline(timeline_from_comm("sound", {sends, recvs})).ok());
+}
+
+TEST(TimelineBroken, MixedMeshCompositionIsRefused) {
+  // Mesh and cluster schedules match sends on different buses; no single
+  // composition of them is defined.
+  EXPECT_THROW(timeline_from_comm("mixed", {mesh_gemm_schedule(hw::HwParams{}),
+                                            rhd_allreduce_schedule(4)}),
+               base::CheckError);
 }
 
 TEST(TimelineBroken, UnorderedWritesFireRace) {
