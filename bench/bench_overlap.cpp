@@ -108,6 +108,7 @@ int main(int argc, char** argv) {
                     fixtures::kResNet50GradientBytes, false});
 
   const parallel::SsgdOptions opt;  // binomial RHD, round-robin, q = 256
+  const topo::NetParams net = topo::sunway_network();
   bool gate_ok = true;
   trace::Tracer tracer;
 
@@ -133,10 +134,10 @@ int main(int argc, char** argv) {
       topo.num_nodes = n;
       topo.supernode_size = opt.supernode_size;
       const auto bucket_cost = [&](std::int64_t b) {
-        return topo::cost_rhd(b, topo, opt.net, topo::Placement::kRoundRobin);
+        return topo::cost_rhd(b, topo, net, topo::Placement::kRoundRobin);
       };
       tune::BucketTuneOptions bopts;
-      bopts.eager_limit = opt.net.eager_limit;
+      bopts.eager_limit = net.eager_limit;
       const tune::BucketChoice choice = tune::tune_buckets(
           layer_bytes, tl.bwd_s, tl.total_s, bucket_cost, bopts);
 
@@ -250,10 +251,10 @@ int main(int argc, char** argv) {
       double int8_eff = 0.0;
       for (const auto& cfg : cfgs) {
         const auto bucket_cost = [&](std::int64_t b) {
-          return topo::allreduce_cost(cfg.algo, cfg.codec, b, topo, opt.net);
+          return topo::allreduce_cost(cfg.algo, cfg.codec, b, topo, net);
         };
         tune::BucketTuneOptions bopts;
-        bopts.eager_limit = opt.net.eager_limit;
+        bopts.eager_limit = net.eager_limit;
         const tune::BucketChoice choice = tune::tune_buckets(
             layer_bytes, tl.bwd_s, tl.total_s, bucket_cost, bopts);
         const double speedup = n * tl.total_s / choice.overlapped_s;
@@ -313,11 +314,8 @@ int main(int argc, char** argv) {
     // tuner should discover the hierarchical + compressed configuration on
     // its own (reported, not gated — the winning codec may legitimately be
     // fp16 or int8 depending on where the codec passes balance the wire).
-    tune::CommTuneOptions copts;
-    copts.net = opt.net;
-    copts.supernode_size = opt.supernode_size;
     const tune::CommChoice cc =
-        tune::tune_comm(tl.bwd_s, tl.total_s, layer_bytes, 40960, copts);
+        tune::tune_comm(tl.bwd_s, tl.total_s, layer_bytes, 40960);
     std::printf("\nswtune @40960 nodes: %s + %s, %d buckets "
                 "(%.3fs vs %.3fs baseline, %zu candidates)\n",
                 topo::allreduce_algo_name(cc.algorithm),

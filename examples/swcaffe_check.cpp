@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_flags.h"
 #include "base/log.h"
 #include "check/timeline.h"
 #include "check/timeline_extract.h"
@@ -192,26 +193,6 @@ void print_help() {
       "     timeline mode: any error or warning)\n"
       "  2  usage error\n"
       "  3  input could not be parsed (prototxt or timeline JSON)\n");
-}
-
-/// Matches "--name value" and "--name=value"; advances `i` past the value.
-bool flag_value(int argc, char** argv, int& i, const char* name,
-                std::string& out) {
-  const std::string arg = argv[i];
-  const std::string prefix = std::string(name) + "=";
-  if (arg == name) {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", name);
-      std::exit(kExitUsage);
-    }
-    out = argv[++i];
-    return true;
-  }
-  if (arg.rfind(prefix, 0) == 0) {
-    out = arg.substr(prefix.size());
-    return true;
-  }
-  return false;
 }
 
 /// Builds the live swsched graphs of one model: overlapped all-reduce at
@@ -404,22 +385,18 @@ int main(int argc, char** argv) {
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     std::string v;
-    if (flag_value(argc, argv, i, "--model", v)) {
+    if (cli::flag_value(argc, argv, i, "--model", v)) {
       model = v;
-    } else if (flag_value(argc, argv, i, "--batch", v)) {
-      batch = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--classes", v)) {
-      classes = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--image", v)) {
-      image = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--nodes", v)) {
-      nodes = std::atoi(v.c_str());
+    } else if (cli::flag_number(argc, argv, i, "--batch", batch)) {
+    } else if (cli::flag_number(argc, argv, i, "--classes", classes)) {
+    } else if (cli::flag_number(argc, argv, i, "--image", image)) {
+    } else if (cli::flag_number(argc, argv, i, "--nodes", nodes)) {
     } else if (std::strcmp(argv[i], "--timeline") == 0) {
       timeline = true;
-    } else if (flag_value(argc, argv, i, "--timeline", v)) {
+    } else if (cli::flag_value(argc, argv, i, "--timeline", v)) {
       timeline = true;
       timeline_file = v;
-    } else if (flag_value(argc, argv, i, "--export-timeline", v)) {
+    } else if (cli::flag_value(argc, argv, i, "--export-timeline", v)) {
       export_path = v;
     } else if (std::strcmp(argv[i], "--paper") == 0) {
       paper = true;

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "../bench/bench_json.h"
+#include "cli_flags.h"
 #include "base/log.h"
 #include "base/table.h"
 #include "base/units.h"
@@ -46,30 +47,6 @@
 using namespace swcaffe;
 using base::TablePrinter;
 using base::fmt;
-
-namespace {
-
-/// Matches "--name value" and "--name=value"; advances `i` past the value.
-bool flag_value(int argc, char** argv, int& i, const char* name,
-                std::string& out) {
-  const std::string arg = argv[i];
-  const std::string prefix = std::string(name) + "=";
-  if (arg == name) {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", name);
-      std::exit(2);
-    }
-    out = argv[++i];
-    return true;
-  }
-  if (arg.rfind(prefix, 0) == 0) {
-    out = arg.substr(prefix.size());
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string policy = "fifo";
@@ -87,27 +64,20 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     std::string v;
-    if (flag_value(argc, argv, i, "--policy", v)) {
+    if (cli::flag_value(argc, argv, i, "--policy", v)) {
       policy = v;
-    } else if (flag_value(argc, argv, i, "--arrival", v)) {
+    } else if (cli::flag_value(argc, argv, i, "--arrival", v)) {
       arrival = v;
-    } else if (flag_value(argc, argv, i, "--nodes", v)) {
-      nodes = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--supernode", v)) {
-      supernode = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--rate", v)) {
-      rate = std::atof(v.c_str());
-    } else if (flag_value(argc, argv, i, "--duration", v)) {
-      duration_s = std::atof(v.c_str());
-    } else if (flag_value(argc, argv, i, "--seed", v)) {
-      seed = static_cast<std::uint64_t>(std::atoll(v.c_str()));
-    } else if (flag_value(argc, argv, i, "--tenants", v)) {
-      tenants = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--quantum", v)) {
-      quantum = std::atoll(v.c_str());
-    } else if (flag_value(argc, argv, i, "--export-timeline", v)) {
+    } else if (cli::flag_number(argc, argv, i, "--nodes", nodes)) {
+    } else if (cli::flag_number(argc, argv, i, "--supernode", supernode)) {
+    } else if (cli::flag_number(argc, argv, i, "--rate", rate)) {
+    } else if (cli::flag_number(argc, argv, i, "--duration", duration_s)) {
+    } else if (cli::flag_number(argc, argv, i, "--seed", seed)) {
+    } else if (cli::flag_number(argc, argv, i, "--tenants", tenants)) {
+    } else if (cli::flag_number(argc, argv, i, "--quantum", quantum)) {
+    } else if (cli::flag_value(argc, argv, i, "--export-timeline", v)) {
       export_path = v;
-    } else if (flag_value(argc, argv, i, "--json", v)) {
+    } else if (cli::flag_value(argc, argv, i, "--json", v)) {
       // Value re-parsed by JsonBench; consumed here so it isn't positional.
     } else if (std::strcmp(argv[i], "--no-elastic") == 0) {
       elastic = false;

@@ -28,6 +28,7 @@
 #include <string>
 
 #include "../bench/bench_json.h"
+#include "cli_flags.h"
 #include "base/table.h"
 #include "base/units.h"
 #include "core/models.h"
@@ -66,26 +67,6 @@ serve::ModelFn resolve_model(const std::string& name) {
   std::exit(2);
 }
 
-/// Matches "--name value" and "--name=value"; advances `i` past the value.
-bool flag_value(int argc, char** argv, int& i, const char* name,
-                std::string& out) {
-  const std::string arg = argv[i];
-  const std::string prefix = std::string(name) + "=";
-  if (arg == name) {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", name);
-      std::exit(2);
-    }
-    out = argv[++i];
-    return true;
-  }
-  if (arg.rfind(prefix, 0) == 0) {
-    out = arg.substr(prefix.size());
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -104,27 +85,22 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     std::string v;
-    if (flag_value(argc, argv, i, "--net", v)) {
+    if (cli::flag_value(argc, argv, i, "--net", v)) {
       net = v;
-    } else if (flag_value(argc, argv, i, "--arrival", v)) {
+    } else if (cli::flag_value(argc, argv, i, "--arrival", v)) {
       arrival = v;
-    } else if (flag_value(argc, argv, i, "--rate", v)) {
-      rate = std::atof(v.c_str());
-    } else if (flag_value(argc, argv, i, "--duration", v)) {
-      duration_s = std::atof(v.c_str());
-    } else if (flag_value(argc, argv, i, "--seed", v)) {
-      seed = static_cast<std::uint64_t>(std::atoll(v.c_str()));
-    } else if (flag_value(argc, argv, i, "--max-batch", v)) {
-      max_batch = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--max-delay", v)) {
-      max_delay_ms = std::atof(v.c_str());
-    } else if (flag_value(argc, argv, i, "--slo", v)) {
-      slo_ms = std::atof(v.c_str());
-    } else if (flag_value(argc, argv, i, "--plan-cache", v)) {
+    } else if (cli::flag_number(argc, argv, i, "--rate", rate)) {
+    } else if (cli::flag_number(argc, argv, i, "--duration", duration_s)) {
+    } else if (cli::flag_number(argc, argv, i, "--seed", seed)) {
+    } else if (cli::flag_number(argc, argv, i, "--max-batch", max_batch)) {
+    } else if (cli::flag_number(argc, argv, i, "--max-delay", max_delay_ms)) {
+    } else if (cli::flag_value(argc, argv, i, "--slo", v)) {
+      slo_ms = cli::parse_number<double>("--slo", v);
+    } else if (cli::flag_value(argc, argv, i, "--plan-cache", v)) {
       plan_cache = v;
-    } else if (flag_value(argc, argv, i, "--trace", v)) {
+    } else if (cli::flag_value(argc, argv, i, "--trace", v)) {
       trace_path = v;
-    } else if (flag_value(argc, argv, i, "--json", v)) {
+    } else if (cli::flag_value(argc, argv, i, "--json", v)) {
       // Value re-parsed by JsonBench; consumed here so it isn't positional.
     } else if (std::strcmp(argv[i], "--no-admission") == 0) {
       admission = false;
@@ -145,7 +121,6 @@ int main(int argc, char** argv) {
   eng_opts.tune = tune;
   eng_opts.plan_cache = plan_cache;
   eng_opts.tracer = trace_path.empty() ? nullptr : &tracer;
-  eng_opts.trace_track = 3;  // serving uses tracks 0..2
   serve::InferenceEngine engine(cost, net, resolve_model(net), eng_opts);
 
   std::printf("=== %s forward pricing (batch table) ===\n", net.c_str());

@@ -46,6 +46,7 @@
 #include <string>
 
 #include "../bench/bench_json.h"
+#include "cli_flags.h"
 #include "base/table.h"
 #include "base/units.h"
 #include "check/rules.h"
@@ -81,26 +82,6 @@ core::NetSpec resolve_model(const std::string& arg, int batch) {
   return core::load_net_prototxt(arg);
 }
 
-/// Matches "--name value" and "--name=value"; advances `i` past the value.
-bool flag_value(int argc, char** argv, int& i, const char* name,
-                std::string& out) {
-  const std::string arg = argv[i];
-  const std::string prefix = std::string(name) + "=";
-  if (arg == name) {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", name);
-      std::exit(2);
-    }
-    out = argv[++i];
-    return true;
-  }
-  if (arg.rfind(prefix, 0) == 0) {
-    out = arg.substr(prefix.size());
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -121,23 +102,18 @@ int main(int argc, char** argv) {
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     std::string v;
-    if (flag_value(argc, argv, i, "--model", v)) {
+    if (cli::flag_value(argc, argv, i, "--model", v)) {
       model = v;
-    } else if (flag_value(argc, argv, i, "--iterations", v)) {
-      iterations = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--batch", v)) {
-      batch = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--trace", v)) {
+    } else if (cli::flag_number(argc, argv, i, "--iterations", iterations)) {
+    } else if (cli::flag_number(argc, argv, i, "--batch", batch)) {
+    } else if (cli::flag_value(argc, argv, i, "--trace", v)) {
       trace_path = v;
-    } else if (flag_value(argc, argv, i, "--plan-cache", v)) {
+    } else if (cli::flag_value(argc, argv, i, "--plan-cache", v)) {
       plan_cache = v;
-    } else if (flag_value(argc, argv, i, "--threads", v)) {
-      threads = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--replicas", v)) {
-      replicas = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--nodes", v)) {
-      nodes = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--algo", v)) {
+    } else if (cli::flag_number(argc, argv, i, "--threads", threads)) {
+    } else if (cli::flag_number(argc, argv, i, "--replicas", replicas)) {
+    } else if (cli::flag_number(argc, argv, i, "--nodes", nodes)) {
+    } else if (cli::flag_value(argc, argv, i, "--algo", v)) {
       if (!topo::allreduce_algo_from_name(v.c_str(), &algo)) {
         std::fprintf(stderr,
                      "unknown --algo '%s' (rhd-adjacent, rhd-round-robin, "
@@ -145,13 +121,13 @@ int main(int argc, char** argv) {
                      v.c_str());
         return 2;
       }
-    } else if (flag_value(argc, argv, i, "--compress", v)) {
+    } else if (cli::flag_value(argc, argv, i, "--compress", v)) {
       if (!topo::compression_from_name(v.c_str(), &compress)) {
         std::fprintf(stderr, "unknown --compress '%s' (none, fp16, int8)\n",
                      v.c_str());
         return 2;
       }
-    } else if (flag_value(argc, argv, i, "--json", v)) {
+    } else if (cli::flag_value(argc, argv, i, "--json", v)) {
       // Value re-parsed by JsonBench; consumed here so it isn't positional.
     } else if (std::strcmp(argv[i], "--tune") == 0) {
       tune = true;
@@ -166,8 +142,10 @@ int main(int argc, char** argv) {
       // Legacy positional form: model [iterations] [batch].
       switch (positional++) {
         case 0: model = argv[i]; break;
-        case 1: iterations = std::atoi(argv[i]); break;
-        case 2: batch = std::atoi(argv[i]); break;
+        case 1:
+          iterations = cli::parse_number<int>("iterations", argv[i]);
+          break;
+        case 2: batch = cli::parse_number<int>("batch", argv[i]); break;
         default:
           std::fprintf(stderr, "too many positional arguments\n");
           return 2;

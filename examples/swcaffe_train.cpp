@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "../bench/bench_json.h"
+#include "cli_flags.h"
 #include "base/units.h"
 #include "core/models.h"
 #include "core/proto.h"
@@ -216,72 +217,45 @@ int main(int argc, char** argv) {
   bool timing_only = false;
   std::vector<char*> positional;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      trace_path = argv[i] + 8;
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
+    std::string v;
+    if (cli::flag_value(argc, argv, i, "--trace", v)) {
+      trace_path = v;
     } else if (std::strcmp(argv[i], "--trace-report") == 0) {
       trace_report = true;
     } else if (std::strcmp(argv[i], "--tune") == 0) {
       tune = true;
     } else if (std::strcmp(argv[i], "--timing-only") == 0) {
       timing_only = true;
-    } else if (std::strncmp(argv[i], "--plan-cache=", 13) == 0) {
-      plan_cache = argv[i] + 13;
-    } else if (std::strcmp(argv[i], "--plan-cache") == 0 && i + 1 < argc) {
-      plan_cache = argv[++i];
-    } else if (std::strncmp(argv[i], "--faults=", 9) == 0) {
-      faults = argv[i] + 9;
+    } else if (cli::flag_value(argc, argv, i, "--plan-cache", v)) {
+      plan_cache = v;
+    } else if (cli::flag_value(argc, argv, i, "--faults", v)) {
+      faults = v;
       have_faults = true;
-    } else if (std::strcmp(argv[i], "--faults") == 0 && i + 1 < argc) {
-      faults = argv[++i];
-      have_faults = true;
-    } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      seed = std::strtoull(argv[i] + 7, nullptr, 10);
+    } else if (cli::flag_number(argc, argv, i, "--seed", seed)) {
       have_seed = true;
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-      have_seed = true;
-    } else if (std::strncmp(argv[i], "--nodes=", 8) == 0) {
-      nodes = std::atoi(argv[i] + 8);
-    } else if (std::strcmp(argv[i], "--nodes") == 0 && i + 1 < argc) {
-      nodes = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--buckets=", 10) == 0) {
-      buckets = std::atoi(argv[i] + 10);
-    } else if (std::strcmp(argv[i], "--buckets") == 0 && i + 1 < argc) {
-      buckets = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = std::atoi(argv[i] + 10);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--algo=", 7) == 0) {
-      if (!topo::allreduce_algo_from_name(argv[i] + 7, &algo)) {
+    } else if (cli::flag_number(argc, argv, i, "--nodes", nodes)) {
+    } else if (cli::flag_number(argc, argv, i, "--buckets", buckets)) {
+    } else if (cli::flag_number(argc, argv, i, "--threads", threads)) {
+    } else if (cli::flag_value(argc, argv, i, "--algo", v)) {
+      if (!topo::allreduce_algo_from_name(v.c_str(), &algo)) {
         std::fprintf(stderr,
                      "unknown --algo '%s' (rhd-adjacent, rhd-round-robin, "
                      "hierarchical, ring, param-server)\n",
-                     argv[i] + 7);
+                     v.c_str());
         return 2;
       }
-    } else if (std::strncmp(argv[i], "--compress=", 11) == 0) {
-      if (!topo::compression_from_name(argv[i] + 11, &compress)) {
+    } else if (cli::flag_value(argc, argv, i, "--compress", v)) {
+      if (!topo::compression_from_name(v.c_str(), &compress)) {
         std::fprintf(stderr, "unknown --compress '%s' (none, fp16, int8)\n",
-                     argv[i] + 11);
+                     v.c_str());
         return 2;
       }
-    } else if (std::strncmp(argv[i], "--checkpoint-every=", 19) == 0) {
-      checkpoint_every = std::atoi(argv[i] + 19);
-    } else if (std::strcmp(argv[i], "--checkpoint-every") == 0 &&
-               i + 1 < argc) {
-      checkpoint_every = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--checkpoint-prefix=", 20) == 0) {
-      checkpoint_prefix = argv[i] + 20;
-    } else if (std::strcmp(argv[i], "--checkpoint-prefix") == 0 &&
-               i + 1 < argc) {
-      checkpoint_prefix = argv[++i];
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0 ||
-               std::strcmp(argv[i], "--json") == 0) {
-      // Value re-parsed by JsonBench; consume it so it isn't positional.
-      if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) ++i;
+    } else if (cli::flag_number(argc, argv, i, "--checkpoint-every",
+                                checkpoint_every)) {
+    } else if (cli::flag_value(argc, argv, i, "--checkpoint-prefix", v)) {
+      checkpoint_prefix = v;
+    } else if (cli::flag_value(argc, argv, i, "--json", v)) {
+      // Value re-parsed by JsonBench; consumed here so it isn't positional.
     } else {
       positional.push_back(argv[i]);
     }
@@ -294,12 +268,16 @@ int main(int argc, char** argv) {
   if (positional.size() >= 2) {
     net_spec = core::load_net_prototxt(positional[0]);
     solver_spec = core::load_solver_prototxt(positional[1]);
-    if (positional.size() >= 3) iterations = std::atoi(positional[2]);
+    if (positional.size() >= 3) {
+      iterations = cli::parse_number<int>("iterations", positional[2]);
+    }
   } else {
     std::printf("(no prototxt arguments: using the built-in demo net)\n");
     net_spec = core::parse_net_prototxt(kDemoNet);
     solver_spec = core::parse_solver_prototxt(kDemoSolver);
-    if (positional.size() == 1) iterations = std::atoi(positional[0]);
+    if (positional.size() == 1) {
+      iterations = cli::parse_number<int>("iterations", positional[0]);
+    }
   }
 
   if (timing_only) {

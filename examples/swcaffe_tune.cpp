@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "../bench/bench_json.h"
+#include "cli_flags.h"
 #include "base/table.h"
 #include "core/models.h"
 #include "core/proto.h"
@@ -72,26 +73,6 @@ std::vector<NamedConfig> paper_configs() {
   configs.push_back({"vgg19 batch 128 @224",
                      core::describe_net_spec(core::vgg(19, 128, 1000, 224))});
   return configs;
-}
-
-/// Matches "--name value" and "--name=value"; advances `i` past the value.
-bool flag_value(int argc, char** argv, int& i, const char* name,
-                std::string& out) {
-  const std::string arg = argv[i];
-  const std::string prefix = std::string(name) + "=";
-  if (arg == name) {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", name);
-      std::exit(2);
-    }
-    out = argv[++i];
-    return true;
-  }
-  if (arg.rfind(prefix, 0) == 0) {
-    out = arg.substr(prefix.size());
-    return true;
-  }
-  return false;
 }
 
 /// "impl cb=32 ob=32" or "exp 256x512x256 db c1" — one table cell.
@@ -152,21 +133,17 @@ int main(int argc, char** argv) {
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     std::string v;
-    if (flag_value(argc, argv, i, "--model", v)) {
+    if (cli::flag_value(argc, argv, i, "--model", v)) {
       model = v;
-    } else if (flag_value(argc, argv, i, "--batch", v)) {
-      batch = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--classes", v)) {
-      classes = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--image", v)) {
-      image = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--nodes", v)) {
-      nodes = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--plan-cache", v)) {
+    } else if (cli::flag_number(argc, argv, i, "--batch", batch)) {
+    } else if (cli::flag_number(argc, argv, i, "--classes", classes)) {
+    } else if (cli::flag_number(argc, argv, i, "--image", image)) {
+    } else if (cli::flag_number(argc, argv, i, "--nodes", nodes)) {
+    } else if (cli::flag_value(argc, argv, i, "--plan-cache", v)) {
       plan_cache = v;
-    } else if (flag_value(argc, argv, i, "--trace", v)) {
+    } else if (cli::flag_value(argc, argv, i, "--trace", v)) {
       trace_path = v;
-    } else if (flag_value(argc, argv, i, "--json", v)) {
+    } else if (cli::flag_value(argc, argv, i, "--json", v)) {
       // Value re-parsed by JsonBench; consumed here so it isn't positional.
     } else if (std::strcmp(argv[i], "--paper") == 0) {
       paper = true;

@@ -27,11 +27,33 @@ void write_floats(std::ostream& os, const std::vector<float>& v) {
            static_cast<std::streamsize>(v.size() * sizeof(float)));
 }
 
-std::vector<float> read_floats(std::istream& is) {
+/// Bytes between the read position and the end of the stream.
+std::uint64_t bytes_left(std::istream& is) {
+  const std::streampos here = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streampos end = is.tellg();
+  is.seekg(here);
+  return static_cast<std::uint64_t>(end - here);
+}
+
+/// Reads a length word and checks that that many items of `item_bytes` each
+/// fit in what is left of the file, before anything is allocated for them.
+std::uint64_t read_length(std::istream& is, const char* what,
+                          std::size_t item_bytes, const std::string& path) {
   std::uint64_t n = 0;
   read_pod(is, n);
-  SWC_CHECK_MSG(is.good() && n < (1ull << 32),
-                "checkpoint: implausible vector length " << n);
+  SWC_CHECK_MSG(is.good(), "checkpoint: truncated file: " << path);
+  const std::uint64_t left = bytes_left(is);
+  SWC_CHECK_MSG(n <= left / item_bytes,
+                "checkpoint: " << what << " length " << n << " needs " << n
+                               << " x " << item_bytes << " bytes; only "
+                               << left << " are left in " << path);
+  return n;
+}
+
+std::vector<float> read_floats(std::istream& is, const char* what,
+                               const std::string& path) {
+  const std::uint64_t n = read_length(is, what, sizeof(float), path);
   std::vector<float> v(n);
   is.read(reinterpret_cast<char*>(v.data()),
           static_cast<std::streamsize>(n * sizeof(float)));
@@ -45,10 +67,7 @@ void write_string(std::ostream& os, const std::string& s) {
 
 std::string read_string(std::istream& is, const char* what,
                         const std::string& path) {
-  std::uint64_t len = 0;
-  read_pod(is, len);
-  SWC_CHECK_MSG(is.good() && len < (1ull << 20),
-                "checkpoint: implausible " << what << " length " << len);
+  const std::uint64_t len = read_length(is, what, 1, path);
   std::string s(len, '\0');
   is.read(s.data(), static_cast<std::streamsize>(len));
   SWC_CHECK_MSG(is.good(), "checkpoint: truncated file: " << path);
@@ -97,16 +116,15 @@ Checkpoint load_checkpoint(const std::string& path,
   Checkpoint ckpt;
   read_pod(is, ckpt.iter);
   read_pod(is, ckpt.fault_seed);
-  ckpt.params = read_floats(is);
-  std::uint64_t n_hist = 0;
-  read_pod(is, n_hist);
-  SWC_CHECK_MSG(is.good() && n_hist < (1ull << 20),
-                "checkpoint: implausible history count " << n_hist);
+  ckpt.params = read_floats(is, "params", path);
+  // Every history vector carries at least its own 8-byte length word.
+  const std::uint64_t n_hist =
+      read_length(is, "history", sizeof(std::uint64_t), path);
   ckpt.history.reserve(n_hist);
   for (std::uint64_t i = 0; i < n_hist; ++i) {
-    ckpt.history.push_back(read_floats(is));
+    ckpt.history.push_back(read_floats(is, "history", path));
   }
-  ckpt.stale_grad = read_floats(is);
+  ckpt.stale_grad = read_floats(is, "stale gradient", path);
   read_pod(is, ckpt.stale_count);
   ckpt.plan_cache = read_string(is, "plan-cache path", path);
   // Version 1 files end here: their job id stays empty (single-job legacy).

@@ -40,7 +40,7 @@ struct FaultSpec {
   double dma_fail_p = 0.0;   ///< transient failure per transfer (re-issued)
   double dma_degrade = 1.0;  ///< throughput degradation multiplier (>= 1)
 
-  // --- Stragglers (parallel::NodeRunner / FtSsgdTrainer site) --------------
+  // --- Stragglers (FtSsgdTrainer site) -------------------------------------
   std::vector<StragglerSpec> stragglers;
 
   // --- Whole-node crash ----------------------------------------------------

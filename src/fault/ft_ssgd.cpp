@@ -10,6 +10,12 @@ namespace swcaffe::fault {
 
 namespace {
 
+/// Simulated per-iteration compute time of a healthy node (stretched by
+/// straggler factors).
+constexpr double kNodeComputeS = 1e-3;
+/// A node is late when its compute exceeds kNodeComputeS * this factor.
+constexpr double kStragglerDeadline = 2.5;
+
 /// Cost-only pricing of the configured collective over `nodes` nodes (the
 /// straggler path reduces over the on-time subset, so the functional
 /// trainer's full-width all-reduce doesn't apply).
@@ -20,8 +26,8 @@ topo::CostBreakdown comm_cost(const parallel::SsgdOptions& o, int nodes,
   topo.supernode_size = o.supernode_size;
   // `bytes` here is the RAW gradient slice; allreduce_cost prices the
   // codec'ed wire bytes exactly as SsgdTrainer does.
-  return topo::allreduce_cost(o.algo, o.compression, bytes, topo, o.net,
-                              o.param_servers);
+  return topo::allreduce_cost(o.algo, o.compression, bytes, topo,
+                              topo::sunway_network());
 }
 
 }  // namespace
@@ -32,8 +38,6 @@ FtSsgdTrainer::FtSsgdTrainer(const core::NetSpec& spec, int num_nodes,
     : options_(options),
       ssgd_(spec, num_nodes, solver, options.ssgd, seed),
       injector_(options.faults) {
-  SWC_CHECK_GE(options_.node_compute_s, 0.0);
-  SWC_CHECK_GE(options_.straggler_deadline, 1.0);
   SWC_CHECK_GE(options_.max_staleness, 0);
 
   // Static retry-plan check (swcheck): rounds up to the eager limit are
@@ -43,7 +47,7 @@ FtSsgdTrainer::FtSsgdTrainer(const core::NetSpec& spec, int num_nodes,
   plan.name = "ft-resend";
   const auto msg_bytes =
       static_cast<std::int64_t>(ssgd_.node(0).param_count()) * 4;
-  const topo::NetParams& net = options_.ssgd.net;
+  const topo::NetParams net = topo::sunway_network();
   plan.round_bytes =
       std::min(msg_bytes, static_cast<std::int64_t>(net.eager_limit));
   plan.resend_buffer_bytes = options_.retry.resend_buffer_bytes;
@@ -162,11 +166,11 @@ StepResult FtSsgdTrainer::step(std::span<const float> data,
   const std::size_t n = grads[0].size();
 
   // --- Straggler site ------------------------------------------------------
-  const double deadline = options_.node_compute_s * options_.straggler_deadline;
+  const double deadline = kNodeComputeS * kStragglerDeadline;
   std::vector<int> late;
-  double slowest = options_.node_compute_s;
+  double slowest = kNodeComputeS;
   for (int node = 0; node < p; ++node) {
-    const double t = options_.node_compute_s * injector_.straggler_factor(node);
+    const double t = kNodeComputeS * injector_.straggler_factor(node);
     if (t > deadline && options_.max_staleness > 0) {
       late.push_back(node);
     } else {
@@ -177,8 +181,8 @@ StepResult FtSsgdTrainer::step(std::span<const float> data,
     // Everyone is late: there is no on-time quorum to proceed with, so the
     // barrier degenerates to plain synchronous SGD on the slow machine.
     for (int node : late) {
-      slowest = std::max(
-          slowest, options_.node_compute_s * injector_.straggler_factor(node));
+      slowest =
+          std::max(slowest, kNodeComputeS * injector_.straggler_factor(node));
     }
     late.clear();
   }

@@ -36,11 +36,6 @@ struct FtOptions {
   FaultSpec faults;
   RetryPolicy retry;
 
-  /// Simulated per-iteration compute time of a healthy node (stretched by
-  /// straggler factors).
-  double node_compute_s = 1e-3;
-  /// A node is late when its compute exceeds node_compute_s * deadline.
-  double straggler_deadline = 2.5;
   /// Max iterations a late gradient may lag (0 = always wait; 1 = the
   /// survivors proceed and fold the late gradient into the next step).
   int max_staleness = 1;
@@ -72,7 +67,9 @@ class FtSsgdTrainer {
                 const core::SolverSpec& solver, const FtOptions& options,
                 std::uint64_t seed = 1);
 
-  /// One fault-tolerant SSGD iteration. When the crash site fires, returns
+  /// One fault-tolerant SSGD iteration. A healthy node computes for 1 ms of
+  /// simulated time, a straggler for its factor times that; a node is late
+  /// when it needs more than 2.5 ms. When the crash site fires, returns
   /// crashed=true WITHOUT touching trainer state — the caller restarts via
   /// restore_latest() (see run_with_restarts).
   StepResult step(std::span<const float> data, std::span<const float> labels);

@@ -85,26 +85,18 @@ double NodeRunner::compute_gradients(std::span<const float> data,
   }
   for (auto& t : threads) t.join();
 
-  double max_factor = 1.0;
-  for (int cg = 0; cg < cgs; ++cg) {
-    max_factor = std::max(max_factor, cg_slowdown(cg));
-  }
-  last_iter_seconds_ = sim_iter_seconds_ * max_factor;
-
   if (tracer_ != nullptr) {
     // All CGs run the same net on the same sub-batch size, so they advance
-    // in lockstep for sim_iter_seconds_ starting at the node clock — unless
-    // a fault spec slows some down, in which case the barrier holds until
-    // the slowest finishes.
+    // in lockstep for sim_iter_seconds_ starting at the node clock.
     const double t0 = tracer_->now(node_track_);
     for (int cg = 0; cg < cgs; ++cg) {
       const int track = base_track_ + cg;
       tracer_->set_clock(track, t0);
       tracer_->begin_span(track, "forward_backward", "train.cg");
-      tracer_->end_span(track, sim_iter_seconds_ * cg_slowdown(cg));
+      tracer_->end_span(track, sim_iter_seconds_);
     }
     // CG0 averages after the barrier; its clock is now at iteration end.
-    tracer_->set_clock(base_track_, t0 + last_iter_seconds_);
+    tracer_->set_clock(base_track_, t0 + sim_iter_seconds_);
     tracer_->instant(base_track_, "grad.average", "train.phase");
   }
 
@@ -120,11 +112,6 @@ void NodeRunner::broadcast_params() {
   if (tracer_ != nullptr) {
     tracer_->instant(base_track_, "params.broadcast", "train.phase");
   }
-}
-
-void NodeRunner::set_cg_slowdowns(std::vector<double> factors) {
-  for (double f : factors) SWC_CHECK_GE(f, 1.0);
-  cg_slowdowns_ = std::move(factors);
 }
 
 void NodeRunner::set_tracer(trace::Tracer* tracer, double sim_iter_seconds,

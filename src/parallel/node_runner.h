@@ -64,30 +64,12 @@ class NodeRunner {
   void set_tracer(trace::Tracer* tracer, double sim_iter_seconds,
                   int node_track = 0, int base_track = 1);
 
-  /// Fault-injection site: per-core-group compute slowdown factors (>= 1,
-  /// missing entries mean 1). The handshake barrier waits for the slowest
-  /// CG, so the simulated iteration time stretches to max(factor); traced
-  /// "forward_backward" spans stretch individually. Gradient math is
-  /// unchanged — a slow CG computes the same numbers, later.
-  void set_cg_slowdowns(std::vector<double> factors);
-
-  /// Simulated duration of the last compute_gradients() (slowest CG),
-  /// sim_iter_seconds * max slowdown. 0 before any traced iteration.
-  double last_iter_seconds() const { return last_iter_seconds_; }
-
  private:
-  double cg_slowdown(int cg) const {
-    return cg < static_cast<int>(cg_slowdowns_.size()) ? cg_slowdowns_[cg]
-                                                       : 1.0;
-  }
-
   std::vector<std::unique_ptr<core::Net>> nets_;
   trace::Tracer* tracer_ = nullptr;
   double sim_iter_seconds_ = 0.0;
-  double last_iter_seconds_ = 0.0;
   int node_track_ = 0;
   int base_track_ = 1;
-  std::vector<double> cg_slowdowns_;
 };
 
 }  // namespace swcaffe::parallel

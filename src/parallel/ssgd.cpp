@@ -62,7 +62,7 @@ SsgdTrainer::SsgdTrainer(const core::NetSpec& spec, int num_nodes,
   plan.name = "ssgd-buckets";
   plan.num_layers = static_cast<int>(layer_bytes.size());
   plan.total_bytes = static_cast<std::int64_t>(nets_[0]->param_count()) * 4;
-  plan.eager_limit = options_.net.eager_limit;
+  plan.eager_limit = net_.eager_limit;
   for (const auto& b : buckets_) {
     plan.buckets.push_back({b.first_layer, b.last_layer, b.bytes});
   }
@@ -153,7 +153,7 @@ SsgdTrainer::SsgdTrainer(const core::NetSpec& spec, int num_nodes,
   }
 
   if (options_.threads > 1 && !options_.timing_only) {
-    pool_ = std::make_unique<ThreadPool>(
+    pool_ = std::make_unique<sim::ThreadPool>(
         std::min(options_.threads, num_nodes));
   }
 }
@@ -255,17 +255,16 @@ const topo::CostBreakdown& SsgdTrainer::allreduce_bucket(
   switch (options_.algo) {
     case AllreduceAlgo::kRhdAdjacent:
     case AllreduceAlgo::kRhdRoundRobin:
-      slot = topo::allreduce_rhd(slices, topo_, options_.net, placement_);
+      slot = topo::allreduce_rhd(slices, topo_, net_, placement_);
       break;
     case AllreduceAlgo::kRing:
-      slot = topo::allreduce_ring(slices, topo_, options_.net, placement_);
+      slot = topo::allreduce_ring(slices, topo_, net_, placement_);
       break;
     case AllreduceAlgo::kParamServer:
-      slot = topo::allreduce_param_server(slices, topo_, options_.net,
-                                          options_.param_servers);
+      slot = topo::allreduce_param_server(slices, topo_, net_, /*servers=*/1);
       break;
     case AllreduceAlgo::kHierarchical:
-      slot = topo::allreduce_hierarchical(slices, topo_, options_.net);
+      slot = topo::allreduce_hierarchical(slices, topo_, net_);
       break;
   }
   if (comp != topo::Compression::kNone) slot = bucket_cost(buckets_[b].bytes);

@@ -19,7 +19,7 @@
 #include "core/net.h"
 #include "core/solver.h"
 #include "hw/cost_model.h"
-#include "parallel/thread_pool.h"
+#include "sim/thread_pool.h"
 #include "swdnn/conv_plan.h"
 #include "topo/allreduce.h"
 #include "topo/compress.h"
@@ -32,11 +32,11 @@ namespace swcaffe::parallel {
 // parallel::AllreduceAlgo spellings use this alias.
 using topo::AllreduceAlgo;
 
+/// Every collective runs on the TaihuLight network (topo::sunway_network),
+/// and the parameter-server baseline uses one server shard.
 struct SsgdOptions {
   AllreduceAlgo algo = AllreduceAlgo::kRhdRoundRobin;
-  topo::NetParams net = topo::sunway_network();
   int supernode_size = 256;
-  int param_servers = 1;
   /// Layer-aligned gradient buckets of the all-reduce (topo/overlap). 1 =
   /// the paper's single packed message. More buckets let the analytic
   /// overlap schedule hide collectives under backward; the functional
@@ -161,6 +161,7 @@ class SsgdTrainer {
 
  private:
   SsgdOptions options_;
+  topo::NetParams net_ = topo::sunway_network();
   topo::Topology topo_;
   /// Topology placement of the configured algorithm; computed once here
   /// instead of per allreduce() call.
@@ -171,7 +172,7 @@ class SsgdTrainer {
   std::vector<std::size_t> bucket_offset_;  ///< float offset of each bucket
   std::vector<topo::CostBreakdown> last_comm_buckets_;
   topo::CostBreakdown last_comm_;
-  std::unique_ptr<ThreadPool> pool_;  ///< null when options_.threads <= 1
+  std::unique_ptr<sim::ThreadPool> pool_;  ///< null when threads <= 1
   /// Per-node error-feedback residuals (param_count floats each); empty
   /// when compression is kNone. Residuals persist across iterations — the
   /// carry is what bounds the accumulated quantization drift.
@@ -183,8 +184,7 @@ class SsgdTrainer {
   /// topology (pricing only; no data movement).
   topo::CostBreakdown bucket_cost(std::int64_t raw_bytes) const {
     return topo::allreduce_cost(options_.algo, options_.compression,
-                                raw_bytes, topo_, options_.net,
-                                options_.param_servers);
+                                raw_bytes, topo_, net_);
   }
 };
 

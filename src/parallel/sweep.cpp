@@ -64,7 +64,7 @@ ScalePoint price_scale_point(const SeriesTiming& series,
   // kNone), the same topo::allreduce_cost the trainer charges.
   const auto bucket_cost = [&](std::int64_t bytes) {
     return topo::allreduce_cost(options.algo, options.compression, bytes, topo,
-                                options.net, options.param_servers);
+                                topo::sunway_network());
   };
   const topo::CostBreakdown comm = bucket_cost(param_bytes);
   const topo::OverlapTimeline overlap = topo::schedule_overlap(

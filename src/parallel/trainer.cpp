@@ -14,12 +14,12 @@ Trainer::Trainer(const core::NetSpec& spec, const core::SolverSpec& solver,
                  const TrainOptions& options)
     : options_(options), eval_data_(dataset) {
   SWC_CHECK_GT(options_.max_iter, 0);
-  runner_ = std::make_unique<NodeRunner>(spec, options_.num_core_groups);
+  runner_ = std::make_unique<NodeRunner>(spec);
   solver_ = std::make_unique<core::SgdSolver>(runner_->master(), solver);
   const int node_batch =
-      runner_->master().blob("label")->dim(0) * options_.num_core_groups;
+      runner_->master().blob("label")->dim(0) * runner_->num_core_groups();
   prefetcher_ = std::make_unique<io::Prefetcher>(
-      dataset, disk, options_.file_layout, node_batch, /*rank=*/0,
+      dataset, disk, io::FileLayout::kStriped, node_batch, /*rank=*/0,
       /*num_procs=*/1);
   // One core group's simulated compute per iteration (Algorithm 1: the four
   // CGs run concurrently, so this IS the node's compute time).
@@ -43,7 +43,6 @@ Trainer::Trainer(const core::NetSpec& spec, const core::SolverSpec& solver,
     tune::TuneOptions topts;
     topts.cache_path = options_.plan_cache;
     topts.tracer = options_.tracer;
-    topts.trace_track = 0;
     tune::Tuner tuner(cost_, topts);
     const tune::NetPlan plan = tuner.tune_net(descs_);
     std::string cache_error;

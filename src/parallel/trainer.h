@@ -20,6 +20,8 @@
 
 namespace swcaffe::parallel {
 
+/// The node runs Algorithm 1 on all four core groups of the chip and reads
+/// its samples from striped dataset files.
 struct TrainOptions {
   int max_iter = 100;
   int display_every = 10;    ///< 0 disables logging
@@ -27,8 +29,6 @@ struct TrainOptions {
   int test_batches = 4;
   int snapshot_every = 0;    ///< 0 disables snapshots
   std::string snapshot_prefix = "swcaffe";
-  int num_core_groups = 4;
-  io::FileLayout file_layout = io::FileLayout::kStriped;
   /// Optional: records the run as simulated-time spans (track 0 = the node:
   /// iteration > compute > per-layer detail, plus exposed I/O; tracks 1..CGs
   /// = one "forward_backward" span per core group per iteration). Null costs

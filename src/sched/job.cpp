@@ -28,8 +28,7 @@ std::string JobSpec::name() const {
   return out.str();
 }
 
-double JobProfile::iter_s(int width, int replicas,
-                          const parallel::SsgdOptions& options) const {
+double JobProfile::iter_s(int width, int replicas) const {
   SWC_CHECK_GT(width, 0);
   SWC_CHECK_GE(replicas, width);
   // Folded compute: each node hosts ceil(replicas/width) replicas and runs
@@ -39,16 +38,15 @@ double JobProfile::iter_s(int width, int replicas,
   if (width == 1) return compute_s;  // no network phase on a 1-node gang
   topo::Topology topo;
   topo.num_nodes = width;
-  topo.supernode_size = options.supernode_size;
   const topo::CostBreakdown comm =
-      topo::allreduce_cost(options.algo, options.compression, param_bytes, topo,
-                           options.net, options.param_servers);
+      topo::allreduce_cost(kJobAllreduce, topo::Compression::kNone,
+                           param_bytes, topo, topo::sunway_network());
   return compute_s + comm.seconds;
 }
 
-double JobProfile::checkpoint_s(double bw) const {
-  SWC_CHECK_GT(bw, 0.0);
-  return 2.0 * static_cast<double>(param_bytes) / bw;
+double JobProfile::checkpoint_s() const {
+  constexpr double kCheckpointBw = 4.0e9;  // B/s, write and restore alike
+  return 2.0 * static_cast<double>(param_bytes) / kCheckpointBw;
 }
 
 JobProfile profile_job(const hw::CostModel& cost, const JobSpec& spec) {

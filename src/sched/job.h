@@ -14,7 +14,7 @@
 #include <string>
 
 #include "hw/cost_model.h"
-#include "parallel/ssgd.h"
+#include "topo/allreduce.h"
 
 namespace swcaffe::sched {
 
@@ -23,6 +23,17 @@ namespace swcaffe::sched {
 enum class ModelKind { kAlexNet, kVgg16, kResNet50 };
 
 const char* model_kind_name(ModelKind kind);
+
+/// The collective every job's iterations are priced at: the paper's
+/// production all-reduce (Sec. V-A, improved RHD with round-robin rank
+/// placement), uncompressed, on the TaihuLight network with 256-node
+/// supernodes. The scheduler places gangs at this collective's placement.
+///
+/// Open modelling question: the pricing assumes the 256-node TaihuLight
+/// supernode whatever SchedOptions::supernode_size is; that setting shapes
+/// only gang placement on the simulated partition.
+inline constexpr topo::AllreduceAlgo kJobAllreduce =
+    topo::AllreduceAlgo::kRhdRoundRobin;
 
 /// One training job submission.
 struct JobSpec {
@@ -49,14 +60,13 @@ struct JobProfile {
   std::int64_t param_bytes = 0;  ///< packed gradient message (all-reduce)
 
   /// One SSGD iteration at physical gang width `width`: folded replica
-  /// compute (ceil(replicas/width) rounds) plus the all-reduce of the packed
-  /// message across `width` nodes under `options` (algorithm + placement).
-  double iter_s(int width, int replicas,
-                const parallel::SsgdOptions& options) const;
+  /// compute (ceil(replicas/width) rounds) plus the kJobAllreduce of the
+  /// packed message across `width` nodes.
+  double iter_s(int width, int replicas) const;
 
   /// Checkpoint capture / restore wall-clock: params + solver history
-  /// (2x param bytes, the swfault Checkpoint payload) through `bw` B/s.
-  double checkpoint_s(double bw) const;
+  /// (2x param bytes, the swfault Checkpoint payload) at 4 GB/s.
+  double checkpoint_s() const;
 };
 
 /// Prices `spec` on the SW26010 cost model. Descriptor construction is

@@ -56,10 +56,8 @@ class Simulator {
             const SchedOptions& options)
       : options_(options),
         engine_(options.policy),
-        cluster_(options.cluster_nodes, options.supernode_size),
-        placement_(topo::placement_for(options.ssgd.algo)) {
+        cluster_(options.cluster_nodes, options.supernode_size) {
     SWC_CHECK_GT(options.quantum_iters, 0);
-    SWC_CHECK_GT(options.checkpoint_bw, 0.0);
     std::map<std::pair<ModelKind, int>, JobProfile> profiles;
     int max_tenant = 0;
     states_.reserve(jobs.size());
@@ -85,7 +83,7 @@ class Simulator {
       st.rec.iters = spec.iters;
       st.rec.ideal_s =
           static_cast<double>(spec.iters) *
-          st.profile.iter_s(spec.replicas, spec.replicas, options.ssgd);
+          st.profile.iter_s(spec.replicas, spec.replicas);
       states_.push_back(std::move(st));
       max_tenant = std::max(max_tenant, spec.tenant);
     }
@@ -125,7 +123,7 @@ class Simulator {
   }
 
   double ckpt_s(const JobState& st) const {
-    return st.profile.checkpoint_s(options_.checkpoint_bw);
+    return st.profile.checkpoint_s();
   }
 
   /// Does `st` still have iterations left after its current quantum?
@@ -154,8 +152,7 @@ class Simulator {
     const std::int64_t q = std::min<std::int64_t>(
         options_.quantum_iters, st.spec.iters - st.done_iters);
     SWC_CHECK_GT(q, 0);
-    const double iter =
-        st.profile.iter_s(st.width, st.spec.replicas, options_.ssgd);
+    const double iter = st.profile.iter_s(st.width, st.spec.replicas);
     const double end = start + static_cast<double>(q) * iter;
     record_span(st, SpanKind::kRun, start, end, q);
     st.quantum_iters = q;
@@ -166,7 +163,7 @@ class Simulator {
     JobState& st = states_[static_cast<std::size_t>(j)];
     SWC_CHECK(!st.running);
     SWC_CHECK(st.nodes.empty());
-    st.nodes = cluster_.allocate(width, placement_);
+    st.nodes = cluster_.allocate(width, topo::placement_for(kJobAllreduce));
     SWC_CHECK_EQ(static_cast<int>(st.nodes.size()), width);
     if (st.rec.first_start_s < 0.0) st.rec.first_start_s = start;
     if (st.width != 0 && st.width != width) st.rec.resizes++;
@@ -445,7 +442,6 @@ class Simulator {
   SchedOptions options_;
   PolicyEngine engine_;
   Cluster cluster_;
-  topo::Placement placement_;
   std::vector<JobState> states_;
   std::vector<double> tenant_usage_;  ///< retired node-seconds per tenant
   std::vector<JobSpan> spans_;

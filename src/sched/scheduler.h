@@ -6,7 +6,7 @@
 //
 //  * Gang scheduling — a job runs on all of its nodes or none of them; the
 //    gang is placed with the supernode-aware allocator at the placement its
-//    all-reduce prices for (topo::placement_for).
+//    all-reduce prices for (topo::placement_for(kJobAllreduce)).
 //  * Quanta — a dispatched job runs `quantum_iters` iterations per quantum;
 //    quantum boundaries are the only points where gangs change hands
 //    (gradients are synchronized there, so node 0's state is a complete
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "hw/cost_model.h"
-#include "parallel/ssgd.h"
 #include "sched/cluster.h"
 #include "sched/job.h"
 #include "sched/policy.h"
@@ -45,12 +44,8 @@ struct SchedOptions {
   int cluster_nodes = 64;
   int supernode_size = 16;  ///< small partition: 4 supernodes by default
   Policy policy = Policy::kFifo;
-  /// All-reduce + placement + network the jobs' iterations are priced at.
-  parallel::SsgdOptions ssgd;
   /// Iterations per scheduling quantum (== swfault checkpoint_every).
   std::int64_t quantum_iters = 25;
-  /// Checkpoint write/restore bandwidth (B/s) for preemption/resize spans.
-  double checkpoint_bw = 4.0e9;
   /// Allow shrunken dispatch and grow-back of elastic jobs. Off: gangs are
   /// always placed at the requested width.
   bool elastic = true;

@@ -1,6 +1,7 @@
 #include "sched/workload.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "base/log.h"
 
@@ -37,10 +38,10 @@ int model_batch(ModelKind kind) {
 }
 
 std::vector<JobSpec> generate_workload(const WorkloadSpec& spec) {
-  SWC_CHECK(!spec.models.empty());
+  static constexpr ModelKind kModels[] = {
+      ModelKind::kAlexNet, ModelKind::kVgg16, ModelKind::kResNet50};
   SWC_CHECK(!spec.widths.empty());
   SWC_CHECK_GT(spec.tenants, 0);
-  SWC_CHECK_GT(spec.priorities, 0);
   SWC_CHECK_GE(spec.max_iters, spec.min_iters);
   SWC_CHECK_GT(spec.min_iters, 0);
   const std::vector<double> arrivals = serve::generate_arrivals(spec.arrivals);
@@ -51,8 +52,7 @@ std::vector<JobSpec> generate_workload(const WorkloadSpec& spec) {
     JobSpec job;
     job.id = id;
     job.submit_s = arrivals[i];
-    job.model =
-        spec.models[draw(spec.seed, id, 0, spec.models.size())];
+    job.model = kModels[draw(spec.seed, id, 0, std::size(kModels))];
     job.batch = model_batch(job.model);
     job.replicas =
         spec.widths[draw(spec.seed, id, 1, spec.widths.size())];
@@ -64,7 +64,7 @@ std::vector<JobSpec> generate_workload(const WorkloadSpec& spec) {
             spec.seed, id, 2,
             static_cast<std::uint64_t>(spec.max_iters - spec.min_iters + 1)));
     job.priority = static_cast<int>(
-        draw(spec.seed, id, 3, static_cast<std::uint64_t>(spec.priorities)));
+        draw(spec.seed, id, 3, static_cast<std::uint64_t>(kJobPriorities)));
     job.tenant = static_cast<int>(
         draw(spec.seed, id, 4, static_cast<std::uint64_t>(spec.tenants)));
     jobs.push_back(job);

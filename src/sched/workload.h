@@ -17,20 +17,21 @@
 
 namespace swcaffe::sched {
 
+/// Job priorities are drawn from [0, kJobPriorities).
+inline constexpr int kJobPriorities = 3;
+
 struct WorkloadSpec {
   /// Arrival process of job submissions (rate = jobs/s of cluster time).
   serve::ArrivalSpec arrivals;
   /// Attribute sampling seed (independent of arrivals.seed).
   std::uint64_t seed = 1;
 
-  /// Candidate pools; each job draws uniformly (hash-indexed).
-  std::vector<ModelKind> models = {ModelKind::kAlexNet, ModelKind::kVgg16,
-                                   ModelKind::kResNet50};
+  /// Candidate pools; each job draws uniformly (hash-indexed) among the
+  /// three model-zoo networks and these widths.
   std::vector<int> widths = {2, 4, 8};  ///< requested replicas per job
   std::int64_t min_iters = 20;
   std::int64_t max_iters = 200;
   int tenants = 3;
-  int priorities = 3;  ///< priority drawn from [0, priorities)
   /// Elastic jobs may shrink to half their requested width (floor >= 1);
   /// false pins min_nodes == replicas (rigid gangs only).
   bool elastic = true;

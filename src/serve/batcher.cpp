@@ -12,6 +12,11 @@ namespace swcaffe::serve {
 
 namespace {
 
+// Trace tracks of a served run (ServeOptions::tracer).
+constexpr int kServerTrack = 0;
+constexpr int kRequestTrack = 1;
+constexpr int kBatchTrack = 2;
+
 /// Handler state shared by the arrival and launch-deadline events.
 struct Server {
   const InferenceEngine& engine;
@@ -26,16 +31,13 @@ struct Server {
   bool deadline_armed = false;
 
   trace::Tracer* tracer() const { return opts.tracer; }
-  int server_track() const { return opts.trace_track; }
-  int request_track() const { return opts.trace_track + 1; }
-  int batch_track() const { return opts.trace_track + 2; }
 
   /// Advances the request-track clock to the event time (event times are
   /// non-decreasing, so the clock never rewinds) and samples queue depth.
   void mark_time(double t_s) {
     if (trace::Tracer* tr = tracer()) {
-      if (t_s > tr->now(request_track())) tr->set_clock(request_track(), t_s);
-      tr->counter(request_track(), "serve.queue_depth",
+      if (t_s > tr->now(kRequestTrack)) tr->set_clock(kRequestTrack, t_s);
+      tr->counter(kRequestTrack, "serve.queue_depth",
                   static_cast<double>(queue.size()));
     }
   }
@@ -83,7 +85,7 @@ struct Server {
     if (opts.admission.enabled && predicted > t_s + opts.admission.slo_s) {
       ++result.rejected;
       if (trace::Tracer* tr = tracer()) {
-        tr->instant(request_track(), "reject req " + std::to_string(id),
+        tr->instant(kRequestTrack, "reject req " + std::to_string(id),
                     "serve.reject");
       }
       return;
@@ -130,7 +132,7 @@ struct Server {
       r.launch_s = b.launch_s;
       r.finish_s = b.finish_s;
       if (tr) {
-        tr->async_span(request_track(), "req " + std::to_string(id),
+        tr->async_span(kRequestTrack, "req " + std::to_string(id),
                        "serve.queue", r.arrival_s, b.launch_s);
       }
     }
@@ -146,11 +148,11 @@ struct Server {
       // Formation (oldest arrival -> launch) overlaps the previous batch's
       // forward pass, so it lives on its own track as an async span; the
       // forward pass itself is sequential on the server track.
-      tr->async_span(batch_track(), label, "serve.batch", b.first_arrival_s,
+      tr->async_span(kBatchTrack, label, "serve.batch", b.first_arrival_s,
                      b.launch_s);
-      tr->set_clock(server_track(), b.launch_s);
-      tr->begin_span(server_track(), label, "serve.forward");
-      tr->end_span(server_track(), b.forward_s);
+      tr->set_clock(kServerTrack, b.launch_s);
+      tr->begin_span(kServerTrack, label, "serve.forward");
+      tr->end_span(kServerTrack, b.forward_s);
     }
     result.batches.push_back(b);
   }
@@ -180,9 +182,9 @@ ServeResult simulate_serving(const InferenceEngine& engine,
   }
 
   if (trace::Tracer* tr = options.tracer) {
-    tr->set_track_name(server.server_track(), "serve.server");
-    tr->set_track_name(server.request_track(), "serve.requests");
-    tr->set_track_name(server.batch_track(), "serve.batches");
+    tr->set_track_name(kServerTrack, "serve.server");
+    tr->set_track_name(kRequestTrack, "serve.requests");
+    tr->set_track_name(kBatchTrack, "serve.batches");
   }
 
   // The old hand-merged two-source loop (next arrival vs. queue deadline,

@@ -52,12 +52,11 @@ struct AdmissionOptions {
 struct ServeOptions {
   BatcherOptions batcher;
   AdmissionOptions admission;
-  /// Optional trace sink. Uses three tracks starting at `trace_track`:
-  /// +0 server ("serve.forward" spans), +1 requests ("serve.queue" async
-  /// spans, "serve.reject" instants, queue-depth counter), +2 batches
-  /// ("serve.batch" formation async spans).
+  /// Optional trace sink. Uses three tracks: 0 server ("serve.forward"
+  /// spans), 1 requests ("serve.queue" async spans, "serve.reject"
+  /// instants, queue-depth counter), 2 batches ("serve.batch" formation
+  /// async spans).
   trace::Tracer* tracer = nullptr;
-  int trace_track = 0;
 };
 
 struct ServeResult {

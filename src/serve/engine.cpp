@@ -24,7 +24,7 @@ InferenceEngine::InferenceEngine(const hw::CostModel& cost,
     topts.nodes = 1;  // serving runs a single node
     topts.cache_path = options_.plan_cache;
     topts.tracer = options_.tracer;
-    topts.trace_track = options_.trace_track;
+    topts.trace_track = kTuneTrack;
     tuner_ = std::make_unique<tune::Tuner>(cost_, std::move(topts));
   }
 

@@ -34,6 +34,10 @@ namespace swcaffe::serve {
 /// batch, so the engine re-derives shapes per formed batch size).
 using ModelFn = std::function<core::NetSpec(int batch)>;
 
+/// Trace track of the engine's plan search: a served run
+/// (ServeOptions::tracer) records on tracks 0..2.
+inline constexpr int kTuneTrack = 3;
+
 struct EngineOptions {
   /// Largest batch the dynamic batcher may form (the batch table covers
   /// 1 .. max_batch).
@@ -44,9 +48,9 @@ struct EngineOptions {
   /// Persistent plan cache (tune only): loaded before the searches, written
   /// back by save_cache().
   std::string plan_cache;
-  /// Optional trace sink for tune.search / tune.cache_hit activity.
+  /// Optional trace sink for tune.search / tune.cache_hit activity, which
+  /// lands on kTuneTrack.
   trace::Tracer* tracer = nullptr;
-  int trace_track = 0;
 };
 
 struct EngineStats {

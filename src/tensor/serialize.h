@@ -1,7 +1,8 @@
-// Minimal binary (de)serialization for tensors and parameter sets, used for
-// solver snapshots and test round-trips. Format: magic, axis count, dims,
-// then raw float data (little-endian host order; the simulator only targets
-// one host).
+// Minimal binary (de)serialization for tensors and parameter sets. Only the
+// tensor round-trip tests use it: solver snapshots (core::SgdSolver) and
+// swfault checkpoints (fault/checkpoint.h) each write their own format.
+// Format: magic, axis count, dims, then raw float data (little-endian host
+// order; the simulator only targets one host).
 #pragma once
 
 #include <iosfwd>

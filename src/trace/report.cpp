@@ -1,10 +1,8 @@
 #include "trace/report.h"
 
-#include <fstream>
 #include <map>
 #include <ostream>
 
-#include "base/log.h"
 #include "base/table.h"
 #include "base/units.h"
 #include "trace/chrome_trace.h"
@@ -73,12 +71,6 @@ void Report::write_json(std::ostream& os) const {
        << "}";
   }
   os << "\n],\"total_s\":" << total_seconds() << "}\n";
-}
-
-void Report::save_json(const std::string& path) const {
-  std::ofstream out(path);
-  SWC_CHECK_MSG(out.good(), "cannot open report output file: " << path);
-  write_json(out);
 }
 
 }  // namespace swcaffe::trace

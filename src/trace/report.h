@@ -40,7 +40,6 @@ class Report {
   void print(std::ostream& os) const;
   /// JSON object {"rows":[...], "total_s": ...}.
   void write_json(std::ostream& os) const;
-  void save_json(const std::string& path) const;
 
  private:
   std::vector<ReportRow> rows_;

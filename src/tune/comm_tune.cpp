@@ -13,9 +13,9 @@ namespace swcaffe::tune {
 
 CommChoice tune_comm(const std::vector<double>& layer_bwd_s, double compute_s,
                      const std::vector<std::int64_t>& layer_bytes,
-                     int num_nodes, const CommTuneOptions& options) {
+                     int num_nodes) {
+  constexpr int kMaxBuckets = 32;
   SWC_CHECK_GT(num_nodes, 0);
-  SWC_CHECK_GT(options.max_buckets, 0);
   SWC_CHECK_EQ(layer_bytes.size(), layer_bwd_s.size());
   const std::int64_t total_bytes =
       std::accumulate(layer_bytes.begin(), layer_bytes.end(),
@@ -23,7 +23,7 @@ CommChoice tune_comm(const std::vector<double>& layer_bwd_s, double compute_s,
 
   topo::Topology topo;
   topo.num_nodes = num_nodes;
-  topo.supernode_size = options.supernode_size;
+  const topo::NetParams net = topo::sunway_network();
 
   // Menu order is the tie-break order: the paper's baseline algorithm first,
   // then uncompressed before lossy codecs, then fewer buckets. The argmin
@@ -43,7 +43,7 @@ CommChoice tune_comm(const std::vector<double>& layer_bwd_s, double compute_s,
   for (AllreduceAlgo algorithm : kAlgorithms) {
     for (topo::Compression codec : kCodecs) {
       int seen_effective = 0;  // layout sizes grow with k; skip repeats
-      for (int k : bucket_count_candidates(options.max_buckets)) {
+      for (int k : bucket_count_candidates(kMaxBuckets)) {
         const std::vector<topo::GradientBucket> layout =
             topo::make_buckets(layer_bytes, k);
         const int effective = static_cast<int>(layout.size());
@@ -64,7 +64,7 @@ CommChoice tune_comm(const std::vector<double>& layer_bwd_s, double compute_s,
         plan.algorithm = topo::allreduce_algo_name(algorithm);
         plan.compression = topo::compression_name(codec);
         plan.num_nodes = num_nodes;
-        plan.supernode_size = options.supernode_size;
+        plan.supernode_size = topo.supernode_size;
         plan.buckets = effective;
         plan.raw_bytes = total_bytes;
         plan.wire_bytes = 0;
@@ -80,8 +80,7 @@ CommChoice tune_comm(const std::vector<double>& layer_bwd_s, double compute_s,
         }
 
         const auto bucket_cost = [&](std::int64_t bytes) {
-          return topo::allreduce_cost(algorithm, codec, bytes, topo,
-                                      options.net, options.param_servers);
+          return topo::allreduce_cost(algorithm, codec, bytes, topo, net);
         };
         const topo::OverlapTimeline tl =
             topo::schedule_overlap(layout, layer_bwd_s, compute_s,

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "topo/compress.h"
-#include "topo/network_model.h"
 
 namespace swcaffe::tune {
 
@@ -43,20 +42,15 @@ struct CommChoice {
   std::vector<CommCandidate> candidates;  ///< the full priced table
 };
 
-struct CommTuneOptions {
-  topo::NetParams net = topo::sunway_network();
-  int supernode_size = 256;
-  int max_buckets = 32;
-  int param_servers = 1;
-};
-
 /// Searches (algorithm, compression, bucket count) for the gradient whose
 /// per-layer sizes are `layer_bytes`, with backward finishing per-layer at
-/// `layer_bwd_s` inside a `compute_s` iteration, across `num_nodes` nodes.
+/// `layer_bwd_s` inside a `compute_s` iteration, across `num_nodes` nodes
+/// of the TaihuLight network (256-node supernodes, one parameter-server
+/// shard), trying up to 32 buckets.
 /// Deterministic: fixed menu order, strict-improvement argmin (ties keep the
 /// earlier candidate, which orders the baseline first, then fewer buckets).
 CommChoice tune_comm(const std::vector<double>& layer_bwd_s, double compute_s,
                      const std::vector<std::int64_t>& layer_bytes,
-                     int num_nodes, const CommTuneOptions& options = {});
+                     int num_nodes);
 
 }  // namespace swcaffe::tune

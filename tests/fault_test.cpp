@@ -37,6 +37,7 @@
 #include "hw/dma.h"
 #include "parallel/ssgd.h"
 #include "topo/allreduce.h"
+#include "topo/compress.h"
 #include "trace/chrome_trace.h"
 #include "trace/tracer.h"
 
@@ -497,6 +498,37 @@ TEST(FtSsgdTest, ZeroStalenessAlwaysWaits) {
   EXPECT_EQ(weights(waiting.ssgd()), weights(clean.ssgd()));
 }
 
+TEST(FtSsgdTest, StragglerDeadlineIsTwoAndAHalfTimesNodeCompute) {
+  // A healthy node computes for 1 ms per iteration; a node is late only when
+  // it takes MORE than 2.5x that, so exactly 2.5x is still on time and the
+  // barrier waits for it.
+  const core::SolverSpec solver;
+  FaultSpec at_deadline;
+  at_deadline.stragglers.push_back({1, 2.5});
+  FtSsgdTrainer on_time(mlp(kSubBatch), kNodes, solver,
+                        ft_options(at_deadline), /*seed=*/9);
+  const StepResult r = run_steps(on_time, 1)[0];
+  EXPECT_EQ(r.late_nodes, 0);
+  EXPECT_EQ(r.sim_seconds,
+            1e-3 * 2.5 + on_time.ssgd().last_comm().seconds + r.recovery_s);
+
+  // At 2.6x the survivors commit at the 2.5 ms deadline, plus the
+  // all-reduce over the two on-time nodes and its recovery.
+  FaultSpec past_deadline;
+  past_deadline.stragglers.push_back({1, 2.6});
+  FtSsgdTrainer late(mlp(kSubBatch), kNodes, solver,
+                     ft_options(past_deadline), /*seed=*/9);
+  const StepResult l = run_steps(late, 1)[0];
+  EXPECT_EQ(l.late_nodes, 1);
+  topo::Topology survivors;
+  survivors.num_nodes = kNodes - 1;
+  const topo::CostBreakdown comm = topo::allreduce_cost(
+      topo::AllreduceAlgo::kRhdRoundRobin, topo::Compression::kNone,
+      static_cast<std::int64_t>(late.ssgd().node(0).param_count()) * 4,
+      survivors, topo::sunway_network());
+  EXPECT_EQ(l.sim_seconds, 1e-3 * 2.5 + comm.seconds + l.recovery_s);
+}
+
 // --- Checkpoint format ------------------------------------------------------------
 
 Checkpoint sample_checkpoint() {
@@ -543,6 +575,47 @@ TEST(CheckpointTest, RejectsGarbageMissingAndFutureVersions) {
     f.write(reinterpret_cast<const char*>(&v), sizeof(v));
   }
   EXPECT_THROW(load_checkpoint(future), base::CheckError);
+}
+
+TEST(CheckpointTest, RejectsLengthsBeyondTheFile) {
+  // Magic, version, iter and seed, then a params length of one million
+  // floats followed by only 16 bytes: the loader must refuse the length
+  // before it allocates for it.
+  const std::string path = testing::TempDir() + "/swfault_overlong.ckpt";
+  {
+    std::ofstream f(path, std::ios::binary);
+    f.write("SWFCKPT", 8);  // the 8-byte magic, NUL included
+    const std::uint32_t version = kCheckpointVersion;
+    const std::int64_t iter = 0;
+    const std::uint64_t seed = 0;
+    const std::uint64_t params = 1000000;
+    f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    f.write(reinterpret_cast<const char*>(&iter), sizeof(iter));
+    f.write(reinterpret_cast<const char*>(&seed), sizeof(seed));
+    f.write(reinterpret_cast<const char*>(&params), sizeof(params));
+    const char payload[16] = {};
+    f.write(payload, sizeof(payload));
+  }
+  try {
+    load_checkpoint(path);
+    ADD_FAILURE() << "an over-long params length loaded";
+  } catch (const base::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("params length"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CheckpointTest, RestoreRejectsADifferentParameterCount) {
+  const core::SolverSpec solver;
+  FtSsgdTrainer narrow(mlp(kSubBatch, kInDim, /*hidden=*/16), kNodes, solver,
+                       ft_options(FaultSpec{}), 9);
+  FtSsgdTrainer wide(mlp(kSubBatch, kInDim, /*hidden=*/32), kNodes, solver,
+                     ft_options(FaultSpec{}), 9);
+  const std::string path = testing::TempDir() + "/swfault_wide.ckpt";
+  wide.save_checkpoint(path);
+  const std::vector<float> before = weights(narrow.ssgd());
+  EXPECT_THROW(narrow.restore_checkpoint(path), base::CheckError);
+  EXPECT_EQ(weights(narrow.ssgd()), before);  // nothing was half-restored
 }
 
 TEST(CheckpointTest, JobNamespacedPaths) {

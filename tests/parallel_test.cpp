@@ -14,6 +14,7 @@
 #include "parallel/node_runner.h"
 #include "parallel/ssgd.h"
 #include "parallel/sweep.h"
+#include "sim/thread_pool.h"
 #include "topo/allreduce.h"
 #include "trace/tracer.h"
 
@@ -601,7 +602,7 @@ TEST(SsgdTest, ThreadedReplicasBitIdenticalToSerial) {
 }
 
 TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
+  sim::ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(100);
   pool.parallel_for(0, 100, [&](int i) { hits[i].fetch_add(1); });
   for (int i = 0; i < 100; ++i) EXPECT_EQ(hits[i].load(), 1) << i;

@@ -96,7 +96,6 @@ WorkloadSpec demo_workload_spec() {
   w.min_iters = 5;
   w.max_iters = 30;
   w.tenants = 3;
-  w.priorities = 3;
   return w;
 }
 
@@ -131,7 +130,7 @@ TEST(WorkloadTest, AttributesStayInTheirPools) {
     EXPECT_GE(j.iters, w.min_iters);
     EXPECT_LE(j.iters, w.max_iters);
     EXPECT_GE(j.priority, 0);
-    EXPECT_LT(j.priority, w.priorities);
+    EXPECT_LT(j.priority, kJobPriorities);
     EXPECT_GE(j.tenant, 0);
     EXPECT_LT(j.tenant, w.tenants);
     // Elastic floor: half the requested width, never below one node.
@@ -555,13 +554,12 @@ TEST(JobProfileTest, PricesAreSaneAndWidthOneSkipsComm) {
   EXPECT_GT(p.replica_iter_s, 0.0);
   EXPECT_GT(p.param_bytes, 0);
 
-  const parallel::SsgdOptions ssgd;
   // Width 1 folds all replicas onto one node with no collective at all.
-  EXPECT_EQ(p.iter_s(1, 4, ssgd), 4.0 * p.replica_iter_s);
+  EXPECT_EQ(p.iter_s(1, 4), 4.0 * p.replica_iter_s);
   // At full width each node computes one replica plus the all-reduce.
-  EXPECT_GT(p.iter_s(4, 4, ssgd), p.replica_iter_s);
-  // Checkpoint moves params + solver history through the given bandwidth.
-  EXPECT_EQ(p.checkpoint_s(4.0e9),
+  EXPECT_GT(p.iter_s(4, 4), p.replica_iter_s);
+  // Checkpoint moves params + solver history at 4 GB/s.
+  EXPECT_EQ(p.checkpoint_s(),
             2.0 * static_cast<double>(p.param_bytes) / 4.0e9);
 }
 
