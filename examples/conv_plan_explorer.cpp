@@ -8,12 +8,16 @@
 //
 // Usage: conv_plan_explorer [batch in_c out_c image kernel stride pad]
 //        (defaults: 128 256 256 56 3 1 1, i.e. VGG-16 conv3_2)
+// A malformed number, a non-positive size or stride, a negative pad or a
+// geometry with an empty output or a padded image beyond the int range
+// exits 2.
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "base/units.h"
+#include "cli_flags.h"
 #include "hw/cost_model.h"
 #include "swdnn/conv_plan.h"
 #include "tune/tuner.h"
@@ -75,18 +79,43 @@ int main(int argc, char** argv) {
   g.stride = 1;
   g.pad = 1;
   if (argc == 8) {
-    g.batch = std::atoi(argv[1]);
-    g.in_c = std::atoi(argv[2]);
-    g.out_c = std::atoi(argv[3]);
-    g.in_h = g.in_w = std::atoi(argv[4]);
-    g.kernel = std::atoi(argv[5]);
-    g.stride = std::atoi(argv[6]);
-    g.pad = std::atoi(argv[7]);
+    const char* const names[] = {"batch",  "in_c",   "out_c", "image",
+                                 "kernel", "stride", "pad"};
+    int v[7];
+    for (int i = 0; i < 7; ++i) {
+      v[i] = cli::parse_number<int>(names[i], argv[i + 1]);
+      const bool ok = i == 6 ? v[i] >= 0 : v[i] > 0;
+      if (!ok) {
+        std::fprintf(stderr, "%s must be %s, got %d\n", names[i],
+                     i == 6 ? "non-negative" : "positive", v[i]);
+        return cli::kExitUsage;
+      }
+    }
+    g.batch = v[0];
+    g.in_c = v[1];
+    g.out_c = v[2];
+    g.in_h = g.in_w = v[3];
+    g.kernel = v[4];
+    g.stride = v[5];
+    g.pad = v[6];
+    // The padded extent must fit the int geometry the output size is
+    // computed in.
+    const long long padded = g.in_h + 2LL * g.pad;
+    if (padded > std::numeric_limits<int>::max()) {
+      std::fprintf(stderr, "padded image %lld is too large\n", padded);
+      return cli::kExitUsage;
+    }
+    if (padded < g.kernel) {
+      std::fprintf(stderr,
+                   "empty output: kernel %d exceeds the padded image %lld\n",
+                   g.kernel, padded);
+      return cli::kExitUsage;
+    }
   } else if (argc != 1) {
     std::fprintf(stderr,
                  "usage: %s [batch in_c out_c image kernel stride pad]\n",
                  argv[0]);
-    return 1;
+    return cli::kExitUsage;
   }
 
   std::printf("conv: batch=%d %dx%dx%d -> %d channels, K=%d S=%d P=%d "

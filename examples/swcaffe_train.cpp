@@ -38,8 +38,8 @@
 // none [default], fp16, int8 — deterministic, bit-identical across reruns).
 //
 // --timing-only prices ONE SSGD iteration on the swsim fast path instead of
-// training: a single prototype replica is built (no per-node tensors, no
-// gradient floats move) and the iteration's compute, all-reduce and
+// training: a single prototype replica is built, its weights never drawn
+// (no per-node tensors, no gradient floats move), and the iteration's compute, all-reduce and
 // overlapped schedule are priced across --nodes nodes with the configured
 // --algo/--compress/--buckets. The priced communication is bit-identical to
 // what the functional trainer would charge (pinned by tests), so this is

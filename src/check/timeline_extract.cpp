@@ -328,7 +328,10 @@ TimelineGraph timeline_from_comm(const std::string& name,
                        << " mixes mesh and cluster schedules");
     for (const CommOp& op : phases[p].ops) {
       TimelineEvent ev;
-      ev.name = "p" + std::to_string(p) + " " + describe_op(op);
+      ev.name = "p";
+      ev.name += std::to_string(p);
+      ev.name += ' ';
+      ev.name += describe_op(op);
       ev.actor = actors.at({op.row, op.col});
       ev.bytes = static_cast<std::int64_t>(op.bytes);
       g.add_event(std::move(ev));

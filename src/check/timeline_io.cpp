@@ -17,7 +17,10 @@ std::string num(double v) {
 }
 
 std::string quoted(const std::string& s) {
-  return "\"" + trace::json_escape(s) + "\"";
+  std::string out = "\"";
+  out += trace::json_escape(s);
+  out += '"';
+  return out;
 }
 
 }  // namespace

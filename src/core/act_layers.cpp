@@ -23,8 +23,7 @@ void fill_simple_desc(LayerDesc& d, const LayerSpec& spec, LayerKind kind,
 // --- ReLU --------------------------------------------------------------------
 
 void ReluLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
-                      const std::vector<tensor::Tensor*>& tops,
-                      base::Rng& /*rng*/) {
+                      const std::vector<tensor::Tensor*>& tops) {
   SWC_CHECK_EQ(bottoms.size(), 1u);
   tops[0]->reshape_like(*bottoms[0]);
   fill_simple_desc(desc_, spec_, LayerKind::kReLU, *bottoms[0], *tops[0]);
@@ -52,8 +51,7 @@ void ReluLayer::backward(const std::vector<tensor::Tensor*>& tops,
 // --- Sigmoid -------------------------------------------------------------------
 
 void SigmoidLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
-                         const std::vector<tensor::Tensor*>& tops,
-                         base::Rng& /*rng*/) {
+                         const std::vector<tensor::Tensor*>& tops) {
   SWC_CHECK_EQ(bottoms.size(), 1u);
   tops[0]->reshape_like(*bottoms[0]);
   fill_simple_desc(desc_, spec_, LayerKind::kSigmoid, *bottoms[0], *tops[0]);
@@ -83,8 +81,7 @@ void SigmoidLayer::backward(const std::vector<tensor::Tensor*>& tops,
 // --- TanH -----------------------------------------------------------------------
 
 void TanhLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
-                      const std::vector<tensor::Tensor*>& tops,
-                      base::Rng& /*rng*/) {
+                      const std::vector<tensor::Tensor*>& tops) {
   SWC_CHECK_EQ(bottoms.size(), 1u);
   tops[0]->reshape_like(*bottoms[0]);
   fill_simple_desc(desc_, spec_, LayerKind::kTanH, *bottoms[0], *tops[0]);
@@ -112,8 +109,7 @@ void TanhLayer::backward(const std::vector<tensor::Tensor*>& tops,
 // --- Dropout -------------------------------------------------------------------
 
 void DropoutLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
-                         const std::vector<tensor::Tensor*>& tops,
-                         base::Rng& /*rng*/) {
+                         const std::vector<tensor::Tensor*>& tops) {
   SWC_CHECK_EQ(bottoms.size(), 1u);
   SWC_CHECK_GT(spec_.dropout_ratio, 0.0f);
   SWC_CHECK_LT(spec_.dropout_ratio, 1.0f);
@@ -176,8 +172,7 @@ void softmax_rows(const float* in, int rows, int classes, float* out) {
 }  // namespace
 
 void SoftmaxLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
-                         const std::vector<tensor::Tensor*>& tops,
-                         base::Rng& /*rng*/) {
+                         const std::vector<tensor::Tensor*>& tops) {
   SWC_CHECK_EQ(bottoms.size(), 1u);
   tops[0]->reshape_like(*bottoms[0]);
   fill_simple_desc(desc_, spec_, LayerKind::kSoftmax, *bottoms[0], *tops[0]);
@@ -213,8 +208,7 @@ void SoftmaxLayer::backward(const std::vector<tensor::Tensor*>& tops,
 // --- SoftmaxWithLoss --------------------------------------------------------
 
 void SoftmaxLossLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
-                             const std::vector<tensor::Tensor*>& tops,
-                             base::Rng& /*rng*/) {
+                             const std::vector<tensor::Tensor*>& tops) {
   SWC_CHECK_EQ(bottoms.size(), 2u);  // scores, labels
   tops[0]->reshape({1});
   prob_.assign(bottoms[0]->count(), 0.0f);
@@ -264,8 +258,7 @@ void SoftmaxLossLayer::backward(const std::vector<tensor::Tensor*>& tops,
 // --- Accuracy -------------------------------------------------------------------
 
 void AccuracyLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
-                          const std::vector<tensor::Tensor*>& tops,
-                          base::Rng& /*rng*/) {
+                          const std::vector<tensor::Tensor*>& tops) {
   SWC_CHECK_EQ(bottoms.size(), 2u);
   tops[0]->reshape({1});
   fill_simple_desc(desc_, spec_, LayerKind::kAccuracy, *bottoms[0], *tops[0]);

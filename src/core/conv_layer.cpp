@@ -10,8 +10,7 @@
 namespace swcaffe::core {
 
 void ConvLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
-                      const std::vector<tensor::Tensor*>& tops,
-                      base::Rng& rng) {
+                      const std::vector<tensor::Tensor*>& tops) {
   SWC_CHECK_EQ(bottoms.size(), 1u);
   SWC_CHECK_EQ(tops.size(), 1u);
   const tensor::Tensor& in = *bottoms[0];
@@ -37,14 +36,11 @@ void ConvLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
   tops[0]->reshape({geom_.batch, geom_.out_c, geom_.out_h(), geom_.out_w()});
 
   if (params_.empty()) {
-    auto weight = std::make_shared<tensor::Tensor>(std::vector<int>{
-        geom_.out_c, geom_.in_c / geom_.group, geom_.kernel, geom_.kernel});
-    tensor::fill(*weight, spec_.weight_filler, rng);
-    params_.push_back(std::move(weight));
+    params_.push_back(std::make_shared<tensor::Tensor>(std::vector<int>{
+        geom_.out_c, geom_.in_c / geom_.group, geom_.kernel, geom_.kernel}));
     if (spec_.bias) {
-      auto bias = std::make_shared<tensor::Tensor>(std::vector<int>{geom_.out_c});
-      tensor::fill(*bias, spec_.bias_filler, rng);
-      params_.push_back(std::move(bias));
+      params_.push_back(
+          std::make_shared<tensor::Tensor>(std::vector<int>{geom_.out_c}));
     }
   }
 
@@ -78,6 +74,11 @@ void ConvLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
   desc_.input_count = geom_.input_count();
   desc_.output_count = geom_.output_count();
   desc_.param_count = geom_.weight_count() + (spec_.bias ? geom_.out_c : 0);
+}
+
+void ConvLayer::init_params(base::Rng& rng) {
+  tensor::fill(*params_[0], spec_.weight_filler, rng);
+  if (spec_.bias) tensor::fill(*params_[1], spec_.bias_filler, rng);
 }
 
 void ConvLayer::set_plan(const ConvPlanAssignment& assignment) {

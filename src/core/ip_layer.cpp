@@ -6,8 +6,7 @@
 namespace swcaffe::core {
 
 void InnerProductLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
-                              const std::vector<tensor::Tensor*>& tops,
-                              base::Rng& rng) {
+                              const std::vector<tensor::Tensor*>& tops) {
   SWC_CHECK_EQ(bottoms.size(), 1u);
   SWC_CHECK_EQ(tops.size(), 1u);
   const tensor::Tensor& in = *bottoms[0];
@@ -18,13 +17,10 @@ void InnerProductLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
   tops[0]->reshape({m_, n_});
 
   if (params_.empty()) {
-    auto weight = std::make_shared<tensor::Tensor>(std::vector<int>{n_, k_});
-    tensor::fill(*weight, spec_.weight_filler, rng);
-    params_.push_back(std::move(weight));
+    params_.push_back(
+        std::make_shared<tensor::Tensor>(std::vector<int>{n_, k_}));
     if (spec_.bias) {
-      auto bias = std::make_shared<tensor::Tensor>(std::vector<int>{n_});
-      tensor::fill(*bias, spec_.bias_filler, rng);
-      params_.push_back(std::move(bias));
+      params_.push_back(std::make_shared<tensor::Tensor>(std::vector<int>{n_}));
     }
   }
 
@@ -36,6 +32,11 @@ void InnerProductLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
   desc_.output_count = tops[0]->count();
   desc_.param_count =
       static_cast<std::int64_t>(n_) * k_ + (spec_.bias ? n_ : 0);
+}
+
+void InnerProductLayer::init_params(base::Rng& rng) {
+  tensor::fill(*params_[0], spec_.weight_filler, rng);
+  if (spec_.bias) tensor::fill(*params_[1], spec_.bias_filler, rng);
 }
 
 void InnerProductLayer::forward(const std::vector<tensor::Tensor*>& bottoms,

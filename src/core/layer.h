@@ -1,5 +1,6 @@
 // Layer interface in the Caffe mould: setup reshapes tops from bottoms and
-// allocates parameters; forward/backward implement the math. Backward
+// allocates parameters, init_params draws their initial values;
+// forward/backward implement the math. Backward
 // ACCUMULATES into bottom diffs (the net zeroes diffs once per iteration),
 // which makes multi-consumer blobs (residual connections, inception fan-out)
 // correct without Caffe's explicit Split layers.
@@ -24,11 +25,15 @@ class Layer {
   Layer(const Layer&) = delete;
   Layer& operator=(const Layer&) = delete;
 
-  /// Shapes tops, allocates parameters (filled from `rng`), and fills the
-  /// layer descriptor used by the performance models.
+  /// Shapes tops, allocates parameters (zero-filled; their initial values
+  /// are never drawn here) and fills the layer descriptor used by the
+  /// performance models.
   virtual void setup(const std::vector<tensor::Tensor*>& bottoms,
-                     const std::vector<tensor::Tensor*>& tops,
-                     base::Rng& rng) = 0;
+                     const std::vector<tensor::Tensor*>& tops) = 0;
+
+  /// Writes the initial parameter values (the spec's fillers, drawing from
+  /// `rng`). Runs after setup(); layers without parameters keep the no-op.
+  virtual void init_params(base::Rng& /*rng*/) {}
 
   virtual void forward(const std::vector<tensor::Tensor*>& bottoms,
                        const std::vector<tensor::Tensor*>& tops) = 0;

@@ -52,6 +52,8 @@ struct ConvGeom {
   /// g's in channels; the original AlexNet used group = 2).
   int group = 1;
 
+  bool operator==(const ConvGeom&) const = default;
+
   int out_h() const { return (in_h + 2 * pad - kernel) / stride + 1; }
   int out_w() const { return (in_w + 2 * pad - kernel) / stride + 1; }
 
@@ -100,6 +102,7 @@ struct FcGeom {
   std::int64_t m = 0;  ///< batch
   std::int64_t n = 0;  ///< output features
   std::int64_t k = 0;  ///< input features
+  bool operator==(const FcGeom&) const = default;
   double flops_fwd() const { return 2.0 * m * n * k; }
 };
 
@@ -107,6 +110,8 @@ struct PoolGeom {
   int batch = 0, channels = 0, in_h = 0, in_w = 0;
   int kernel = 2, stride = 2, pad = 0;
   bool global = false;  ///< pool the full feature map (ResNet/GoogleNet head)
+
+  bool operator==(const PoolGeom&) const = default;
 
   /// Caffe's ceil-mode pooled size.
   static int pooled(int in, int kernel, int stride, int pad) {
@@ -133,6 +138,7 @@ struct LayerDesc {
   std::int64_t output_count = 0;
   std::int64_t param_count = 0;
 
+  bool operator==(const LayerDesc&) const = default;
   std::int64_t param_bytes() const { return param_count * 4; }
 };
 

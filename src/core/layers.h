@@ -16,7 +16,8 @@ class ConvLayer : public Layer {
  public:
   explicit ConvLayer(const LayerSpec& spec) : Layer(spec) {}
   void setup(const std::vector<tensor::Tensor*>& bottoms,
-             const std::vector<tensor::Tensor*>& tops, base::Rng& rng) override;
+             const std::vector<tensor::Tensor*>& tops) override;
+  void init_params(base::Rng& rng) override;
   void forward(const std::vector<tensor::Tensor*>& bottoms,
                const std::vector<tensor::Tensor*>& tops) override;
   void backward(const std::vector<tensor::Tensor*>& tops,
@@ -45,7 +46,8 @@ class InnerProductLayer : public Layer {
  public:
   explicit InnerProductLayer(const LayerSpec& spec) : Layer(spec) {}
   void setup(const std::vector<tensor::Tensor*>& bottoms,
-             const std::vector<tensor::Tensor*>& tops, base::Rng& rng) override;
+             const std::vector<tensor::Tensor*>& tops) override;
+  void init_params(base::Rng& rng) override;
   void forward(const std::vector<tensor::Tensor*>& bottoms,
                const std::vector<tensor::Tensor*>& tops) override;
   void backward(const std::vector<tensor::Tensor*>& tops,
@@ -63,7 +65,8 @@ class LstmLayer : public Layer {
  public:
   explicit LstmLayer(const LayerSpec& spec) : Layer(spec) {}
   void setup(const std::vector<tensor::Tensor*>& bottoms,
-             const std::vector<tensor::Tensor*>& tops, base::Rng& rng) override;
+             const std::vector<tensor::Tensor*>& tops) override;
+  void init_params(base::Rng& rng) override;
   void forward(const std::vector<tensor::Tensor*>& bottoms,
                const std::vector<tensor::Tensor*>& tops) override;
   void backward(const std::vector<tensor::Tensor*>& tops,
@@ -81,7 +84,7 @@ class ReluLayer : public Layer {
  public:
   explicit ReluLayer(const LayerSpec& spec) : Layer(spec) {}
   void setup(const std::vector<tensor::Tensor*>& bottoms,
-             const std::vector<tensor::Tensor*>& tops, base::Rng& rng) override;
+             const std::vector<tensor::Tensor*>& tops) override;
   void forward(const std::vector<tensor::Tensor*>& bottoms,
                const std::vector<tensor::Tensor*>& tops) override;
   void backward(const std::vector<tensor::Tensor*>& tops,
@@ -93,7 +96,7 @@ class SigmoidLayer : public Layer {
  public:
   explicit SigmoidLayer(const LayerSpec& spec) : Layer(spec) {}
   void setup(const std::vector<tensor::Tensor*>& bottoms,
-             const std::vector<tensor::Tensor*>& tops, base::Rng& rng) override;
+             const std::vector<tensor::Tensor*>& tops) override;
   void forward(const std::vector<tensor::Tensor*>& bottoms,
                const std::vector<tensor::Tensor*>& tops) override;
   void backward(const std::vector<tensor::Tensor*>& tops,
@@ -105,7 +108,7 @@ class TanhLayer : public Layer {
  public:
   explicit TanhLayer(const LayerSpec& spec) : Layer(spec) {}
   void setup(const std::vector<tensor::Tensor*>& bottoms,
-             const std::vector<tensor::Tensor*>& tops, base::Rng& rng) override;
+             const std::vector<tensor::Tensor*>& tops) override;
   void forward(const std::vector<tensor::Tensor*>& bottoms,
                const std::vector<tensor::Tensor*>& tops) override;
   void backward(const std::vector<tensor::Tensor*>& tops,
@@ -117,7 +120,7 @@ class PoolLayer : public Layer {
  public:
   explicit PoolLayer(const LayerSpec& spec) : Layer(spec) {}
   void setup(const std::vector<tensor::Tensor*>& bottoms,
-             const std::vector<tensor::Tensor*>& tops, base::Rng& rng) override;
+             const std::vector<tensor::Tensor*>& tops) override;
   void forward(const std::vector<tensor::Tensor*>& bottoms,
                const std::vector<tensor::Tensor*>& tops) override;
   void backward(const std::vector<tensor::Tensor*>& tops,
@@ -135,7 +138,8 @@ class BatchNormLayer : public Layer {
  public:
   explicit BatchNormLayer(const LayerSpec& spec) : Layer(spec) {}
   void setup(const std::vector<tensor::Tensor*>& bottoms,
-             const std::vector<tensor::Tensor*>& tops, base::Rng& rng) override;
+             const std::vector<tensor::Tensor*>& tops) override;
+  void init_params(base::Rng& rng) override;
   void forward(const std::vector<tensor::Tensor*>& bottoms,
                const std::vector<tensor::Tensor*>& tops) override;
   void backward(const std::vector<tensor::Tensor*>& tops,
@@ -153,7 +157,7 @@ class LrnLayer : public Layer {
  public:
   explicit LrnLayer(const LayerSpec& spec) : Layer(spec) {}
   void setup(const std::vector<tensor::Tensor*>& bottoms,
-             const std::vector<tensor::Tensor*>& tops, base::Rng& rng) override;
+             const std::vector<tensor::Tensor*>& tops) override;
   void forward(const std::vector<tensor::Tensor*>& bottoms,
                const std::vector<tensor::Tensor*>& tops) override;
   void backward(const std::vector<tensor::Tensor*>& tops,
@@ -168,7 +172,7 @@ class DropoutLayer : public Layer {
  public:
   explicit DropoutLayer(const LayerSpec& spec) : Layer(spec) {}
   void setup(const std::vector<tensor::Tensor*>& bottoms,
-             const std::vector<tensor::Tensor*>& tops, base::Rng& rng) override;
+             const std::vector<tensor::Tensor*>& tops) override;
   void forward(const std::vector<tensor::Tensor*>& bottoms,
                const std::vector<tensor::Tensor*>& tops) override;
   void backward(const std::vector<tensor::Tensor*>& tops,
@@ -184,7 +188,7 @@ class SoftmaxLayer : public Layer {
  public:
   explicit SoftmaxLayer(const LayerSpec& spec) : Layer(spec) {}
   void setup(const std::vector<tensor::Tensor*>& bottoms,
-             const std::vector<tensor::Tensor*>& tops, base::Rng& rng) override;
+             const std::vector<tensor::Tensor*>& tops) override;
   void forward(const std::vector<tensor::Tensor*>& bottoms,
                const std::vector<tensor::Tensor*>& tops) override;
   void backward(const std::vector<tensor::Tensor*>& tops,
@@ -197,7 +201,7 @@ class SoftmaxLossLayer : public Layer {
  public:
   explicit SoftmaxLossLayer(const LayerSpec& spec) : Layer(spec) {}
   void setup(const std::vector<tensor::Tensor*>& bottoms,
-             const std::vector<tensor::Tensor*>& tops, base::Rng& rng) override;
+             const std::vector<tensor::Tensor*>& tops) override;
   void forward(const std::vector<tensor::Tensor*>& bottoms,
                const std::vector<tensor::Tensor*>& tops) override;
   void backward(const std::vector<tensor::Tensor*>& tops,
@@ -213,7 +217,7 @@ class AccuracyLayer : public Layer {
  public:
   explicit AccuracyLayer(const LayerSpec& spec) : Layer(spec) {}
   void setup(const std::vector<tensor::Tensor*>& bottoms,
-             const std::vector<tensor::Tensor*>& tops, base::Rng& rng) override;
+             const std::vector<tensor::Tensor*>& tops) override;
   void forward(const std::vector<tensor::Tensor*>& bottoms,
                const std::vector<tensor::Tensor*>& tops) override;
   void backward(const std::vector<tensor::Tensor*>& tops,
@@ -228,7 +232,7 @@ class EltwiseLayer : public Layer {
  public:
   explicit EltwiseLayer(const LayerSpec& spec) : Layer(spec) {}
   void setup(const std::vector<tensor::Tensor*>& bottoms,
-             const std::vector<tensor::Tensor*>& tops, base::Rng& rng) override;
+             const std::vector<tensor::Tensor*>& tops) override;
   void forward(const std::vector<tensor::Tensor*>& bottoms,
                const std::vector<tensor::Tensor*>& tops) override;
   void backward(const std::vector<tensor::Tensor*>& tops,
@@ -244,7 +248,7 @@ class ConcatLayer : public Layer {
  public:
   explicit ConcatLayer(const LayerSpec& spec) : Layer(spec) {}
   void setup(const std::vector<tensor::Tensor*>& bottoms,
-             const std::vector<tensor::Tensor*>& tops, base::Rng& rng) override;
+             const std::vector<tensor::Tensor*>& tops) override;
   void forward(const std::vector<tensor::Tensor*>& bottoms,
                const std::vector<tensor::Tensor*>& tops) override;
   void backward(const std::vector<tensor::Tensor*>& tops,
@@ -258,7 +262,7 @@ class TransformLayer : public Layer {
  public:
   explicit TransformLayer(const LayerSpec& spec) : Layer(spec) {}
   void setup(const std::vector<tensor::Tensor*>& bottoms,
-             const std::vector<tensor::Tensor*>& tops, base::Rng& rng) override;
+             const std::vector<tensor::Tensor*>& tops) override;
   void forward(const std::vector<tensor::Tensor*>& bottoms,
                const std::vector<tensor::Tensor*>& tops) override;
   void backward(const std::vector<tensor::Tensor*>& tops,
@@ -272,7 +276,7 @@ class SyntheticDataLayer : public Layer {
  public:
   explicit SyntheticDataLayer(const LayerSpec& spec) : Layer(spec) {}
   void setup(const std::vector<tensor::Tensor*>& bottoms,
-             const std::vector<tensor::Tensor*>& tops, base::Rng& rng) override;
+             const std::vector<tensor::Tensor*>& tops) override;
   void forward(const std::vector<tensor::Tensor*>& bottoms,
                const std::vector<tensor::Tensor*>& tops) override;
   void backward(const std::vector<tensor::Tensor*>& tops,

@@ -23,8 +23,7 @@ float sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 }  // namespace
 
 void LstmLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
-                      const std::vector<tensor::Tensor*>& tops,
-                      base::Rng& rng) {
+                      const std::vector<tensor::Tensor*>& tops) {
   SWC_CHECK_EQ(bottoms.size(), 1u);
   SWC_CHECK_EQ(tops.size(), 1u);
   const tensor::Tensor& in = *bottoms[0];
@@ -38,20 +37,13 @@ void LstmLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
   tops[0]->reshape({steps_, batch_, hidden_});
 
   if (params_.empty()) {
-    auto wx = std::make_shared<tensor::Tensor>(
-        std::vector<int>{4 * hidden_, input_dim_});
-    tensor::fill(*wx, spec_.weight_filler, rng);
-    params_.push_back(std::move(wx));
-    auto wh = std::make_shared<tensor::Tensor>(
-        std::vector<int>{4 * hidden_, hidden_});
-    tensor::fill(*wh, spec_.weight_filler, rng);
-    params_.push_back(std::move(wh));
+    params_.push_back(std::make_shared<tensor::Tensor>(
+        std::vector<int>{4 * hidden_, input_dim_}));
+    params_.push_back(std::make_shared<tensor::Tensor>(
+        std::vector<int>{4 * hidden_, hidden_}));
     if (spec_.bias) {
-      auto b = std::make_shared<tensor::Tensor>(std::vector<int>{4 * hidden_});
-      tensor::fill(*b, spec_.bias_filler, rng);
-      // Unit forget-gate bias: the standard trick for gradient flow.
-      for (int h = hidden_; h < 2 * hidden_; ++h) b->data()[h] += 1.0f;
-      params_.push_back(std::move(b));
+      params_.push_back(
+          std::make_shared<tensor::Tensor>(std::vector<int>{4 * hidden_}));
     }
   }
 
@@ -72,6 +64,17 @@ void LstmLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
   desc_.param_count = static_cast<std::int64_t>(4) * hidden_ *
                           (input_dim_ + hidden_) +
                       (spec_.bias ? 4 * hidden_ : 0);
+}
+
+void LstmLayer::init_params(base::Rng& rng) {
+  tensor::fill(*params_[0], spec_.weight_filler, rng);
+  tensor::fill(*params_[1], spec_.weight_filler, rng);
+  if (spec_.bias) {
+    tensor::Tensor& b = *params_[2];
+    tensor::fill(b, spec_.bias_filler, rng);
+    // Unit forget-gate bias: the standard trick for gradient flow.
+    for (int h = hidden_; h < 2 * hidden_; ++h) b.data()[h] += 1.0f;
+  }
 }
 
 void LstmLayer::forward(const std::vector<tensor::Tensor*>& bottoms,

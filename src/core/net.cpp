@@ -7,8 +7,10 @@
 
 namespace swcaffe::core {
 
-Net::Net(const NetSpec& spec, std::uint64_t seed) : spec_(spec) {
-  base::Rng rng(seed);
+Net::Net(const NetSpec& spec, std::optional<std::uint64_t> seed)
+    : spec_(spec) {
+  std::optional<base::Rng> rng;
+  if (seed) rng.emplace(*seed);
   std::map<std::string, bool> blob_needs_grad;
 
   auto get_blob = [&](const std::string& name) -> tensor::Tensor* {
@@ -42,7 +44,8 @@ Net::Net(const NetSpec& spec, std::uint64_t seed) : spec_(spec) {
                             << "' defined twice (in-place not supported)");
       tops.push_back(get_blob(t));
     }
-    layer->setup(bottoms, tops, rng);
+    layer->setup(bottoms, tops);
+    if (rng) layer->init_params(*rng);
 
     std::vector<bool> prop(bottoms.size(), false);
     bool any_bottom_grad = false;

@@ -7,6 +7,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -19,7 +20,11 @@ namespace swcaffe::core {
 
 class Net {
  public:
-  explicit Net(const NetSpec& spec, std::uint64_t seed = 1);
+  /// Builds every layer. With a seed, each layer's parameters are drawn from
+  /// one Rng(seed) right after its setup, in spec order. std::nullopt draws
+  /// nothing and leaves every parameter at 0.0f: for a replica that
+  /// copy_params_from() fills next, or a net only its shapes are read from.
+  explicit Net(const NetSpec& spec, std::optional<std::uint64_t> seed = 1);
 
   Net(const Net&) = delete;
   Net& operator=(const Net&) = delete;

@@ -11,8 +11,7 @@ namespace swcaffe::core {
 // --- BatchNorm ----------------------------------------------------------------
 
 void BatchNormLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
-                           const std::vector<tensor::Tensor*>& tops,
-                           base::Rng& /*rng*/) {
+                           const std::vector<tensor::Tensor*>& tops) {
   SWC_CHECK_EQ(bottoms.size(), 1u);
   const tensor::Tensor& in = *bottoms[0];
   SWC_CHECK_EQ(in.num_axes(), 4);
@@ -20,11 +19,10 @@ void BatchNormLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
   tops[0]->reshape_like(in);
 
   if (params_.empty()) {
-    auto gamma = std::make_shared<tensor::Tensor>(std::vector<int>{channels_});
-    std::fill(gamma->data().begin(), gamma->data().end(), 1.0f);
-    params_.push_back(std::move(gamma));
-    auto beta = std::make_shared<tensor::Tensor>(std::vector<int>{channels_});
-    params_.push_back(std::move(beta));
+    params_.push_back(
+        std::make_shared<tensor::Tensor>(std::vector<int>{channels_}));
+    params_.push_back(
+        std::make_shared<tensor::Tensor>(std::vector<int>{channels_}));
   }
   running_mean_.assign(channels_, 0.0f);
   running_var_.assign(channels_, 1.0f);
@@ -38,6 +36,11 @@ void BatchNormLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
   desc_.input_count = static_cast<std::int64_t>(in.count());
   desc_.output_count = desc_.input_count;
   desc_.param_count = 2 * channels_;
+}
+
+void BatchNormLayer::init_params(base::Rng& /*rng*/) {
+  // Identity scale, zero shift: the constant start draws nothing.
+  std::fill(params_[0]->data().begin(), params_[0]->data().end(), 1.0f);
 }
 
 void BatchNormLayer::forward(const std::vector<tensor::Tensor*>& bottoms,
@@ -133,8 +136,7 @@ void BatchNormLayer::backward(const std::vector<tensor::Tensor*>& tops,
 // --- LRN (across channels, Caffe semantics) ------------------------------------
 
 void LrnLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
-                     const std::vector<tensor::Tensor*>& tops,
-                     base::Rng& /*rng*/) {
+                     const std::vector<tensor::Tensor*>& tops) {
   SWC_CHECK_EQ(bottoms.size(), 1u);
   SWC_CHECK_EQ(bottoms[0]->num_axes(), 4);
   SWC_CHECK_EQ(spec_.lrn_size % 2, 1);

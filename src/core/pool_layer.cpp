@@ -9,8 +9,7 @@
 namespace swcaffe::core {
 
 void PoolLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
-                      const std::vector<tensor::Tensor*>& tops,
-                      base::Rng& /*rng*/) {
+                      const std::vector<tensor::Tensor*>& tops) {
   SWC_CHECK_EQ(bottoms.size(), 1u);
   const tensor::Tensor& in = *bottoms[0];
   SWC_CHECK_EQ(in.num_axes(), 4);

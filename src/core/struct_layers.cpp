@@ -12,8 +12,7 @@ namespace swcaffe::core {
 // --- Eltwise (sum) -----------------------------------------------------------
 
 void EltwiseLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
-                         const std::vector<tensor::Tensor*>& tops,
-                         base::Rng& /*rng*/) {
+                         const std::vector<tensor::Tensor*>& tops) {
   SWC_CHECK_GE(bottoms.size(), 2u);
   for (std::size_t i = 1; i < bottoms.size(); ++i) {
     SWC_CHECK_EQ(bottoms[i]->count(), bottoms[0]->count());
@@ -87,8 +86,7 @@ void EltwiseLayer::backward(const std::vector<tensor::Tensor*>& tops,
 // --- Concat (channel axis) ----------------------------------------------------
 
 void ConcatLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
-                        const std::vector<tensor::Tensor*>& tops,
-                        base::Rng& /*rng*/) {
+                        const std::vector<tensor::Tensor*>& tops) {
   SWC_CHECK_GE(bottoms.size(), 1u);
   int channels = 0;
   for (const auto* b : bottoms) {
@@ -146,8 +144,7 @@ void ConcatLayer::backward(const std::vector<tensor::Tensor*>& tops,
 // --- TensorTransform -----------------------------------------------------------
 
 void TransformLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
-                           const std::vector<tensor::Tensor*>& tops,
-                           base::Rng& /*rng*/) {
+                           const std::vector<tensor::Tensor*>& tops) {
   SWC_CHECK_EQ(bottoms.size(), 1u);
   SWC_CHECK_EQ(bottoms[0]->num_axes(), 4);
   const auto& s = bottoms[0]->shape();
@@ -195,8 +192,7 @@ void TransformLayer::backward(const std::vector<tensor::Tensor*>& tops,
 // --- SyntheticData ---------------------------------------------------------------
 
 void SyntheticDataLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
-                               const std::vector<tensor::Tensor*>& tops,
-                               base::Rng& /*rng*/) {
+                               const std::vector<tensor::Tensor*>& tops) {
   SWC_CHECK_EQ(bottoms.size(), 0u);
   SWC_CHECK_EQ(tops.size(), 2u);
   SWC_CHECK_EQ(spec_.data_shape.size(), 4u);

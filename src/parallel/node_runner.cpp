@@ -28,10 +28,10 @@ void SimpleSync::arrive_and_wait() {
 NodeRunner::NodeRunner(const core::NetSpec& spec, int num_core_groups,
                        std::uint64_t seed) {
   SWC_CHECK_GT(num_core_groups, 0);
-  for (int i = 0; i < num_core_groups; ++i) {
-    nets_.push_back(std::make_unique<core::Net>(spec, seed));
-  }
+  // Core group 0 draws the initial weights; the others copy them.
+  nets_.push_back(std::make_unique<core::Net>(spec, seed));
   for (int i = 1; i < num_core_groups; ++i) {
+    nets_.push_back(std::make_unique<core::Net>(spec, std::nullopt));
     nets_[i]->copy_params_from(*nets_[0]);
   }
 #ifndef NDEBUG

@@ -25,15 +25,21 @@ SsgdTrainer::SsgdTrainer(const core::NetSpec& spec, int num_nodes,
   // Topology placement depends only on the configured algorithm; computed
   // once here and reused by every allreduce() call.
   placement_ = topo::placement_for(options_.algo);
-  // Timing-only mode materializes one prototype replica: the bucket layout
-  // and its verification read the live layers, but no gradients ever move.
-  const int replicas = options_.timing_only ? 1 : num_nodes;
-  for (int i = 0; i < replicas; ++i) {
+  // Replica 0 draws the initial weights; the others are built undrawn and
+  // copy them. Timing-only mode builds one prototype replica whose weights
+  // are never drawn: the bucket layout and its verification read only the
+  // live layers' shapes, and no gradients ever move.
+  if (options_.timing_only) {
+    nets_.push_back(std::make_unique<core::Net>(spec, std::nullopt));
+  } else {
     nets_.push_back(std::make_unique<core::Net>(spec, seed));
+    for (int i = 1; i < num_nodes; ++i) {
+      nets_.push_back(std::make_unique<core::Net>(spec, std::nullopt));
+      nets_[i]->copy_params_from(*nets_[0]);
+    }
   }
-  for (int i = 1; i < replicas; ++i) nets_[i]->copy_params_from(*nets_[0]);
-  for (int i = 0; i < replicas; ++i) {
-    solvers_.push_back(std::make_unique<core::SgdSolver>(*nets_[i], solver));
+  for (const auto& net : nets_) {
+    solvers_.push_back(std::make_unique<core::SgdSolver>(*net, solver));
   }
 
   // Bucket layout over the replica's LIVE layers (pack_param_diffs packs in

@@ -56,8 +56,9 @@ struct SsgdOptions {
   /// at every hop has no error bound).
   topo::Compression compression = topo::Compression::kNone;
   /// Timing-only mode (the swsim fast path): the trainer builds ONE
-  /// prototype replica — enough to derive and verify the bucket layout from
-  /// live layers — instead of num_nodes, and prices iterations through
+  /// prototype replica, whose weights are never drawn — its live layers'
+  /// shapes are enough to derive and verify the bucket layout — instead of
+  /// num_nodes, and prices iterations through
   /// price_iteration() instead of training. The functional phases (step,
   /// forward_backward_packed, allreduce, apply) throw; there are no replica
   /// tensors to touch. Priced times are bit-identical to what the

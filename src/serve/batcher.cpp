@@ -19,9 +19,12 @@ constexpr int kBatchTrack = 2;
 
 /// Handler state shared by the arrival and launch-deadline events.
 struct Server {
+  Server(const InferenceEngine& e, const ServeOptions& o, sim::Engine* s)
+      : engine(e), opts(o), sim(s) {}
+
   const InferenceEngine& engine;
   const ServeOptions& opts;
-  sim::Engine* sim = nullptr;
+  sim::Engine* sim;
   int server_actor = 0;  ///< actor 0: launch deadlines (ties beat arrivals)
   int client_actor = 0;  ///< actor 1: the open-loop arrival stream
   int server_res = 0;    ///< the one inference engine, served exclusively
@@ -169,7 +172,7 @@ ServeResult simulate_serving(const InferenceEngine& engine,
   SWC_CHECK_GT(options.admission.slo_s, 0.0);
 
   sim::Engine sim;
-  Server server{engine, options, &sim};
+  Server server(engine, options, &sim);
   server.server_actor = sim.add_actor("server");
   server.client_actor = sim.add_actor("clients");
   server.server_res = sim.add_resource("engine");

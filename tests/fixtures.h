@@ -7,11 +7,13 @@
 // fixture change (or a typo) cannot silently fork the suite.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
 #include "core/layer_desc.h"
 #include "core/models.h"
+#include "core/net.h"
 
 namespace swcaffe::fixtures {
 
@@ -68,6 +70,16 @@ inline std::vector<core::LayerDesc> resnet50_descs(int batch = kResNet50Batch) {
 }
 inline std::vector<core::LayerDesc> resnet50_per_cg_descs() {
   return resnet50_descs(kResNet50BatchPerCg);
+}
+
+/// The bit patterns of a net's packed parameters: the form in which tests
+/// compare replicas bitwise (0.0f and -0.0f differ here).
+inline std::vector<std::uint32_t> packed_bits(const core::Net& net) {
+  std::vector<float> params(net.param_count());
+  net.pack_params(params);
+  std::vector<std::uint32_t> bits;
+  for (float v : params) bits.push_back(std::bit_cast<std::uint32_t>(v));
+  return bits;
 }
 
 }  // namespace swcaffe::fixtures

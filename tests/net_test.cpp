@@ -2,13 +2,20 @@
 // parameter packing, and end-to-end training on separable synthetic data.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <vector>
+
 #include "base/log.h"
 #include "base/rng.h"
 #include "core/net.h"
 #include "core/spec.h"
+#include "fixtures.h"
 
 namespace swcaffe::core {
 namespace {
+
+using fixtures::packed_bits;
 
 NetSpec tiny_mlp(int batch, int in_dim, int hidden, int classes) {
   NetSpec net;
@@ -20,6 +27,39 @@ NetSpec tiny_mlp(int batch, int in_dim, int hidden, int classes) {
   net.layers.push_back(ip_spec("fc2", "h_out", "scores", classes));
   net.layers.push_back(softmax_loss_spec("loss", "scores", "label", "loss"));
   return net;
+}
+
+/// A biased conv, an inner product and an LSTM side by side, every bias
+/// drawn from the Rng (the default constant bias filler draws nothing), so
+/// the weights depend on each filler's draw order.
+NetSpec drawn_mix() {
+  NetSpec net;
+  net.name = "drawn-mix";
+  net.inputs.push_back({"img", {2, 3, 5, 5}});
+  net.inputs.push_back({"seq", {3, 2, 4}});
+  LayerSpec conv = conv_spec("conv", "img", "c", 4, 3, 1, 1);
+  conv.bias_filler = tensor::FillerSpec::gaussian(0.0f, 0.1f);
+  net.layers.push_back(conv);
+  LayerSpec fc = ip_spec("fc", "c", "f", 6);
+  fc.weight_filler = tensor::FillerSpec::xavier();
+  fc.bias_filler = tensor::FillerSpec::uniform(-0.1f, 0.1f);
+  net.layers.push_back(fc);
+  LayerSpec lstm = lstm_spec("lstm", "seq", "h", 5);
+  lstm.bias_filler = tensor::FillerSpec::gaussian(0.0f, 0.1f);
+  net.layers.push_back(lstm);
+  return net;
+}
+
+/// 64-bit FNV-1a over 32-bit words, low byte first.
+std::uint64_t fnv1a(const std::vector<std::uint32_t>& words) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (std::uint32_t bits : words) {
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
 }
 
 /// Two-class linearly separable points on a hypercube diagonal.
@@ -63,6 +103,27 @@ TEST(NetTest, SameSeedGivesIdenticalInitialization) {
       EXPECT_EQ(pa[i]->data()[j], pb[i]->data()[j]);
     }
   }
+}
+
+TEST(NetTest, SeededWeightsUnchanged) {
+  // Pins every initial weight at seed 7: the layers draw in spec order,
+  // each weight filler before its bias filler. Any reordered or skipped
+  // draw changes the hash.
+  const Net net(drawn_mix(), 7);
+  EXPECT_EQ(net.param_count(), 4u * 3 * 9 + 4 + 6 * 100 + 6 + 20 * 9 + 20);
+  EXPECT_EQ(fnv1a(packed_bits(net)), 0x17fa3e49ac1c3da1ull);
+}
+
+TEST(NetTest, UndrawnNetMatchesAfterCopy) {
+  const NetSpec spec = drawn_mix();
+  const Net drawn(spec, 7);
+  Net undrawn(spec, std::nullopt);
+  EXPECT_EQ(undrawn.param_count(), drawn.param_count());
+  EXPECT_EQ(undrawn.describe(), drawn.describe());
+  for (std::uint32_t bits : packed_bits(undrawn)) ASSERT_EQ(bits, 0u);
+
+  undrawn.copy_params_from(drawn);
+  EXPECT_EQ(packed_bits(undrawn), packed_bits(drawn));
 }
 
 TEST(NetTest, MultiConsumerBlobAccumulatesGradients) {

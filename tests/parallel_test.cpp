@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <thread>
@@ -113,6 +114,20 @@ TEST(NodeRunnerTest, FourCgGradientsMatchSingleNetFullBatch) {
     // Softmax loss normalizes by batch: the CG average over B/4-sample
     // losses equals the B-sample gradient.
     EXPECT_NEAR(g_node[i], g_ref[i], 1e-4f) << i;
+  }
+}
+
+TEST(NodeRunnerTest, CoreGroupsStartFromTheMastersDraw) {
+  // Only the master draws; the other core groups copy its weights, so every
+  // group packs bit-identical to a standalone net at the same seed.
+  const core::NetSpec spec = mlp(2, 4, 6, 2);
+  const auto drawn = fixtures::packed_bits(core::Net(spec, 5));
+  for (int cgs : {1, 4}) {
+    NodeRunner runner(spec, cgs, 5);
+    for (int cg = 0; cg < cgs; ++cg) {
+      EXPECT_EQ(fixtures::packed_bits(runner.replica(cg)), drawn)
+          << "core group " << cg << " of " << cgs;
+    }
   }
 }
 
@@ -569,6 +584,24 @@ TEST(SsgdTest, BucketLayoutTilesThePackedMessage) {
   }
   EXPECT_EQ(alpha, trainer.last_comm().alpha_terms);
   EXPECT_DOUBLE_EQ(seconds, trainer.last_comm().seconds);
+}
+
+TEST(SsgdTest, ReplicasStartFromReplicaZerosDraw) {
+  // Replica 0 draws at the trainer's seed and the others copy it: straight
+  // after construction every replica packs bit-identical to a standalone net
+  // at that seed, whatever the worker count.
+  const core::NetSpec spec = mlp(2, 5, 6, 2);
+  const auto drawn = fixtures::packed_bits(core::Net(spec, 11));
+  for (int threads : {1, 4}) {
+    SsgdOptions opt;
+    opt.supernode_size = 2;
+    opt.threads = threads;
+    SsgdTrainer trainer(spec, 4, core::SolverSpec{}, opt, 11);
+    for (int r = 0; r < trainer.num_nodes(); ++r) {
+      EXPECT_EQ(fixtures::packed_bits(trainer.node(r)), drawn)
+          << "replica " << r << " with " << threads << " threads";
+    }
+  }
 }
 
 TEST(SsgdTest, ThreadedReplicasBitIdenticalToSerial) {

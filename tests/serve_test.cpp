@@ -50,7 +50,9 @@ TEST(ArrivalTest, PoissonIsDeterministicStrictlyIncreasingAndInWindow) {
     EXPECT_EQ(a[i], b[i]);  // bitwise: pure in (seed, counter)
     EXPECT_GE(a[i], 0.0);
     EXPECT_LT(a[i], spec.duration_s);
-    if (i > 0) EXPECT_GT(a[i], a[i - 1]);
+    if (i > 0) {
+      EXPECT_GT(a[i], a[i - 1]);
+    }
   }
   // ~1000 expected arrivals; 5 sigma is ~160.
   EXPECT_NEAR(static_cast<double>(a.size()), 1000.0, 160.0);
@@ -319,7 +321,9 @@ TEST(BatcherTest, BatchesChainOnTheBusyServerAndStayConsistent) {
     EXPECT_DOUBLE_EQ(b.forward_s, engine.batch_time(b.size));
     EXPECT_DOUBLE_EQ(b.finish_s, b.launch_s + b.forward_s);
     EXPECT_GE(b.launch_s, b.first_arrival_s);
-    if (i > 0) EXPECT_GE(b.launch_s, res.batches[i - 1].finish_s);
+    if (i > 0) {
+      EXPECT_GE(b.launch_s, res.batches[i - 1].finish_s);
+    }
     total += b.size;
   }
   EXPECT_EQ(total, res.admitted);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -512,6 +513,19 @@ INSTANTIATE_TEST_SUITE_P(
                        topo::Compression::kFp16, 2},
         TimingOnlyCase{AllreduceAlgo::kHierarchical,
                        topo::Compression::kInt8, 3}));
+
+TEST(TimingOnlyTrainerTest, PrototypeWeightsAreNeverDrawn) {
+  // Pricing reads only the prototype's shapes, so its weights stay at the
+  // zeros the layers allocate.
+  SsgdOptions opt;
+  opt.timing_only = true;
+  const core::NetSpec spec = mlp(2, 5, 6, 2);
+  SsgdTrainer trainer(spec, 64, core::SolverSpec{}, opt, 1);
+  ASSERT_GT(trainer.node(0).param_count(), 0u);
+  for (std::uint32_t bits : fixtures::packed_bits(trainer.node(0))) {
+    ASSERT_EQ(bits, 0u);
+  }
+}
 
 TEST(TimingOnlyTrainerTest, FunctionalPhasesThrowAndPrototypeIsSingle) {
   SsgdOptions opt;

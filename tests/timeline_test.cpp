@@ -285,7 +285,8 @@ TEST(TimelineSilent, ServingSimulatorRecordsVerifySilent) {
   // simulate_serving); re-extracting here additionally pins that the
   // records stay silent under a saturating deterministic load.
   const hw::CostModel cost;
-  const serve::EngineOptions eopts{.max_batch = 4};
+  serve::EngineOptions eopts;
+  eopts.max_batch = 4;
   const serve::InferenceEngine engine(
       cost, "alexnet-small",
       [](int b) { return core::alexnet_bn(b, 10, 67, false); }, eopts);
