@@ -22,7 +22,13 @@
 //     iterations, no causality violations).
 //  5. Determinism: the whole sweep runs twice and every span and metric
 //     must match bitwise (CI additionally diffs two full --json files
-//     byte for byte).
+//     byte for byte, and the fresh file against the checked-in one).
+//
+// A job-count curve follows: the same generator at 50/100/200/400 jobs
+// under every policy, with each schedule's span count and the scheduler's
+// deterministic decision-work counts in the JSON. Host milliseconds go to
+// stdout only, so the JSON stays byte-reproducible.
+#include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -50,7 +56,7 @@ constexpr sched::Policy kPolicies[] = {
 /// The heavy trace: ~40 jobs in 200 simulated seconds against 32 nodes —
 /// offered node-seconds far exceed capacity, so queues build and the
 /// policies actually differ.
-std::vector<sched::JobSpec> heavy_workload() {
+sched::WorkloadSpec heavy_spec() {
   sched::WorkloadSpec wspec;
   wspec.arrivals.kind = serve::ArrivalKind::kPoisson;
   wspec.arrivals.rate = 0.2;
@@ -61,8 +67,23 @@ std::vector<sched::JobSpec> heavy_workload() {
   wspec.min_iters = 20;
   wspec.max_iters = 200;
   wspec.tenants = 3;
-  return sched::generate_workload(wspec);
+  return wspec;
 }
+
+/// The heavy trace's generator stretched to `jobs` jobs: the arrival
+/// window grows with the count (about 1.2 arrivals expected per job kept)
+/// and the trace is cut to exactly `jobs`, so the load per simulated
+/// second stays that of the heavy trace. Empty if too few jobs arrived.
+std::vector<sched::JobSpec> curve_workload(int jobs) {
+  sched::WorkloadSpec wspec = heavy_spec();
+  wspec.arrivals.duration_s = 6.0 * jobs;
+  std::vector<sched::JobSpec> out = sched::generate_workload(wspec);
+  if (static_cast<int>(out.size()) < jobs) return {};
+  out.resize(static_cast<std::size_t>(jobs));
+  return out;
+}
+
+constexpr int kCurveJobs[] = {50, 100, 200, 400};
 
 sched::ScheduleResult run_policy(const hw::CostModel& cost,
                                  const std::vector<sched::JobSpec>& jobs,
@@ -99,7 +120,8 @@ bool same_result(const sched::ScheduleResult& a,
 int main(int argc, char** argv) {
   bench::JsonBench json("bench_sched", argc, argv);
   const hw::CostModel cost;
-  const std::vector<sched::JobSpec> jobs = heavy_workload();
+  const std::vector<sched::JobSpec> jobs =
+      sched::generate_workload(heavy_spec());
   std::printf("heavy trace: %zu jobs, 32 nodes, quantum 25 iters\n\n",
               jobs.size());
 
@@ -199,6 +221,42 @@ int main(int argc, char** argv) {
               "spread %.2fx -> %.2fx\n",
               fifo.wait_p95_s, fair.wait_p95_s, fifo.slowdown_spread,
               fair.slowdown_spread);
+
+  // Job-count curve: how the scheduler's decision work grows with the
+  // trace. Counts are exact; host time is printed, never written.
+  std::printf("\njob-count curve (picks: candidates the dispatch rounds "
+              "checked; examined: job states the decisions examined)\n");
+  TablePrinter curve({"policy", "jobs", "spans", "picks", "examined",
+                      "host ms"});
+  for (const sched::Policy policy : kPolicies) {
+    const std::string p = sched::policy_name(policy);
+    for (const int n : kCurveJobs) {
+      const std::vector<sched::JobSpec> trace = curve_workload(n);
+      if (trace.empty()) {
+        std::fprintf(stderr, "FAIL: fewer than %d jobs arrived\n", n);
+        ++failures;
+        continue;
+      }
+      const auto t0 = std::chrono::steady_clock::now();
+      const sched::ScheduleResult res = run_policy(cost, trace, policy);
+      const double host_ms = std::chrono::duration<double, std::milli>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count();
+      if (res.metrics.finished != n) {
+        std::fprintf(stderr, "FAIL(%s, %d jobs): %d unfinished\n", p.c_str(),
+                     n, n - res.metrics.finished);
+        ++failures;
+      }
+      const std::string key = "curve_" + p + "_" + std::to_string(n);
+      json.metric(key + "_spans", static_cast<double>(res.spans.size()));
+      json.metric(key + "_picks", static_cast<double>(res.work.picks));
+      json.metric(key + "_examined", static_cast<double>(res.work.examined));
+      curve.add_row({p, std::to_string(n), std::to_string(res.spans.size()),
+                     std::to_string(res.work.picks),
+                     std::to_string(res.work.examined), fmt(host_ms, 2)});
+    }
+  }
+  curve.print(std::cout);
 
   if (failures > 0) {
     std::fprintf(stderr, "%d gate(s) failed\n", failures);

@@ -8,14 +8,15 @@
 //
 // Usage: conv_plan_explorer [batch in_c out_c image kernel stride pad]
 //        (defaults: 128 256 256 56 3 1 1, i.e. VGG-16 conv3_2)
-// A malformed number, a non-positive size or stride, a negative pad or a
-// geometry with an empty output or a padded image beyond the int range
-// exits 2.
+// A malformed number, a non-positive size or stride, a negative pad, a
+// geometry with an empty output or a padded image beyond the int range, or
+// one the tuner cannot plan (no legal explicit plan) exits 2.
 #include <cstdio>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "base/log.h"
 #include "base/units.h"
 #include "cli_flags.h"
 #include "hw/cost_model.h"
@@ -129,7 +130,17 @@ int main(int argc, char** argv) {
   tune::TuneOptions topts;
   topts.keep_candidates = true;
   tune::Tuner tuner(cost, topts);
-  const tune::TunedConvPlan plan = tuner.tune_conv(g, "conv");
+  tune::TunedConvPlan plan;
+  try {
+    plan = tuner.tune_conv(g, "conv");
+  } catch (const base::CheckError& e) {
+    std::fprintf(stderr,
+                 "cannot plan conv batch=%d in_c=%d out_c=%d image=%d "
+                 "kernel=%d stride=%d pad=%d: %s\n",
+                 g.batch, g.in_c, g.out_c, g.in_h, g.kernel, g.stride, g.pad,
+                 e.what());
+    return cli::kExitUsage;
+  }
 
   const dnn::ConvDirection dirs[] = {dnn::ConvDirection::kForward,
                                      dnn::ConvDirection::kBackwardWeight,

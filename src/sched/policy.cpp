@@ -25,31 +25,34 @@ Policy parse_policy(const std::string& name) {
   return Policy::kFifo;
 }
 
+bool PolicyEngine::before(const JobSpec& a, const JobSpec& b,
+                          const std::vector<double>& tenant_usage) const {
+  switch (policy_) {
+    case Policy::kFifo:
+      break;
+    case Policy::kPriority:
+      if (a.priority != b.priority) return a.priority > b.priority;
+      break;
+    case Policy::kFairShare: {
+      // Most under-served tenant first; within a tenant, submit order.
+      const double ua = tenant_usage[a.tenant];
+      const double ub = tenant_usage[b.tenant];
+      if (ua != ub) return ua < ub;
+      break;
+    }
+  }
+  if (a.submit_s != b.submit_s) return a.submit_s < b.submit_s;
+  return a.id < b.id;
+}
+
 int PolicyEngine::pick(const std::vector<const JobSpec*>& pending,
                        const std::vector<double>& tenant_usage) const {
   SWC_CHECK(!pending.empty());
-  switch (policy_) {
-    case Policy::kFifo:
-      return 0;  // pending is already in submit order
-    case Policy::kPriority: {
-      int best = 0;
-      for (int i = 1; i < static_cast<int>(pending.size()); ++i) {
-        if (pending[i]->priority > pending[best]->priority) best = i;
-      }
-      return best;  // ties keep submit order (first wins)
-    }
-    case Policy::kFairShare: {
-      // Most under-served tenant first; within a tenant, submit order.
-      int best = 0;
-      for (int i = 1; i < static_cast<int>(pending.size()); ++i) {
-        const double u_i = tenant_usage[pending[i]->tenant];
-        const double u_best = tenant_usage[pending[best]->tenant];
-        if (u_i < u_best) best = i;
-      }
-      return best;
-    }
+  int best = 0;
+  for (int i = 1; i < static_cast<int>(pending.size()); ++i) {
+    if (before(*pending[i], *pending[best], tenant_usage)) best = i;
   }
-  return 0;
+  return best;
 }
 
 bool PolicyEngine::may_preempt(const JobSpec& candidate, const JobSpec& victim,

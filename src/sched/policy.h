@@ -4,7 +4,8 @@
 // checkpoint/restore pricing, elastic re-dispatch); the policy only answers
 // three questions, all pure functions of the visible state:
 //
-//  * pick()        — which pending job to try to place next,
+//  * pick()        — which pending job to try to place next: the first in
+//                    the policy's pick order (before()),
 //  * may_preempt() — whether taking nodes from a running job for a
 //                    candidate is allowed, and
 //  * rebalances()  — whether the policy shrinks running elastic gangs to
@@ -43,9 +44,20 @@ class PolicyEngine {
   bool preemptive() const { return policy_ != Policy::kFifo; }
   bool rebalances() const { return policy_ == Policy::kFairShare; }
 
-  /// Index into `pending` of the job to place next (pending is in submit
-  /// order; never empty). `tenant_usage[t]` is tenant t's retired
-  /// node-seconds so far.
+  /// Pick order: does pending job `a` go before `b`? `tenant_usage[t]` is
+  /// tenant t's retired node-seconds so far. The order is lexicographic: a
+  /// key read only from (priority, tenant) — higher priority first under
+  /// kPriority, the less-served tenant first under kFairShare, none under
+  /// kFifo — then submit order (submit_s, then id). So jobs that share
+  /// priority and tenant keep their submit order under every policy, and
+  /// the scheduler need only offer the first pending job of each such
+  /// group.
+  bool before(const JobSpec& a, const JobSpec& b,
+              const std::vector<double>& tenant_usage) const;
+
+  /// Index into `pending` (never empty, any order) of the job to place
+  /// next: the first in pick order. The scheduler offers only the bucket
+  /// heads: the first not-yet-offered pending job of each class.
   int pick(const std::vector<const JobSpec*>& pending,
            const std::vector<double>& tenant_usage) const;
 

@@ -1,8 +1,11 @@
 #include "sched/scheduler.h"
 
 #include <algorithm>
+#include <compare>
 #include <map>
 #include <queue>
+#include <set>
+#include <tuple>
 #include <utility>
 
 #include "base/log.h"
@@ -31,10 +34,35 @@ struct EventLater {
   }
 };
 
+/// The candidate attributes every pick, dispatch check and capacity request
+/// reads. Pending jobs of one class get the same answer from each of them,
+/// so they wait in one bucket, in submit order.
+struct JobClass {
+  int priority = 0;
+  int tenant = 0;
+  int min_nodes = 0;
+  int replicas = 0;
+  auto operator<=>(const JobClass&) const = default;
+};
+
+/// A pending job's place in submit order (submit_s, then id): the order of
+/// a bucket, and the tie-break of every policy's pick order.
+struct PendingKey {
+  double submit_s = 0.0;
+  int id = 0;
+  int job = 0;  ///< index into the simulator's state table
+  bool operator<(const PendingKey& o) const {
+    return std::tie(submit_s, id, job) < std::tie(o.submit_s, o.id, o.job);
+  }
+};
+
+using PendingBucket = std::set<PendingKey>;
+
 struct JobState {
   JobSpec spec;
   JobProfile profile;
   JobRecord rec;
+  int job_class = 0;  ///< index of the job's pending bucket
   bool arrived = false;
   bool running = false;
   bool done = false;
@@ -59,6 +87,7 @@ class Simulator {
         cluster_(options.cluster_nodes, options.supernode_size) {
     SWC_CHECK_GT(options.quantum_iters, 0);
     std::map<std::pair<ModelKind, int>, JobProfile> profiles;
+    std::map<JobClass, int> classes;
     int max_tenant = 0;
     states_.reserve(jobs.size());
     for (const JobSpec& spec : jobs) {
@@ -84,10 +113,17 @@ class Simulator {
       st.rec.ideal_s =
           static_cast<double>(spec.iters) *
           st.profile.iter_s(spec.replicas, spec.replicas);
+      st.job_class =
+          classes
+              .try_emplace(JobClass{spec.priority, spec.tenant,
+                                    spec.min_nodes, spec.replicas},
+                           static_cast<int>(classes.size()))
+              .first->second;
       states_.push_back(std::move(st));
       max_tenant = std::max(max_tenant, spec.tenant);
     }
     tenant_usage_.assign(static_cast<std::size_t>(max_tenant) + 1, 0.0);
+    pending_.resize(classes.size());
     for (int i = 0; i < static_cast<int>(states_.size()); ++i)
       push(states_[static_cast<std::size_t>(i)].spec.submit_s,
            EventKind::kArrival, i);
@@ -101,6 +137,8 @@ class Simulator {
       switch (e.kind) {
         case EventKind::kArrival:
           states_[static_cast<std::size_t>(e.job)].arrived = true;
+          ++waiting_;
+          make_pending(e.job);
           try_dispatch();
           break;
         case EventKind::kQuantumEnd:
@@ -118,6 +156,26 @@ class Simulator {
   }
 
  private:
+  PendingKey pending_key(int j) const {
+    const JobSpec& spec = states_[static_cast<std::size_t>(j)].spec;
+    return PendingKey{spec.submit_s, spec.id, j};
+  }
+
+  /// Queues `j` for dispatch: on arrival, and when an evicted gang frees.
+  void make_pending(int j) {
+    const auto c = states_[static_cast<std::size_t>(j)].job_class;
+    pending_[static_cast<std::size_t>(c)].insert(pending_key(j));
+  }
+
+  /// The gang of `j` stopped running: it finished, or it checkpoints for an
+  /// eviction or a resize and waits.
+  void stop_running(int j) {
+    JobState& st = states_[static_cast<std::size_t>(j)];
+    st.running = false;
+    running_.erase(std::find(running_.begin(), running_.end(), j));
+    if (!st.done) ++waiting_;
+  }
+
   void push(double time, EventKind kind, int job) {
     heap_.push(Event{time, seq_++, kind, job});
   }
@@ -170,6 +228,8 @@ class Simulator {
     st.width = width;
     st.rec.final_width = width;
     st.running = true;
+    running_.insert(std::lower_bound(running_.begin(), running_.end(), j), j);
+    --waiting_;
     double t = start;
     if (st.has_checkpoint) {
       // Crash-rewind-replay resume: reload the namespaced checkpoint on the
@@ -184,12 +244,14 @@ class Simulator {
     JobState& st = states_[static_cast<std::size_t>(j)];
     st.done_iters += st.quantum_iters;
     st.quantum_iters = 0;
+    // A planned eviction or resize takes effect (or lapses) here.
+    if (st.preempt_marked || st.resize_to != 0) --in_flux_;
     if (st.done_iters >= st.spec.iters) {
       st.rec.finish_s = now_;
       cluster_.release(st.nodes);
       st.nodes.clear();
-      st.running = false;
       st.done = true;
+      stop_running(j);
       try_dispatch();
       maybe_grow();
       return;
@@ -201,7 +263,7 @@ class Simulator {
       record_span(st, SpanKind::kCheckpoint, now_, now_ + ckpt_s(st), 0);
       st.has_checkpoint = true;
       st.rec.preemptions++;
-      st.running = false;
+      stop_running(j);
       push(now_ + ckpt_s(st), EventKind::kFree, j);
       return;
     }
@@ -210,7 +272,7 @@ class Simulator {
       // new width (kFree carries the redispatch).
       record_span(st, SpanKind::kCheckpoint, now_, now_ + ckpt_s(st), 0);
       st.has_checkpoint = true;
-      st.running = false;
+      stop_running(j);
       st.redispatch = true;
       push(now_ + ckpt_s(st), EventKind::kFree, j);
       return;
@@ -232,6 +294,8 @@ class Simulator {
       // always a legal width.
       const int width = std::min(desired, cluster_.free_count());
       dispatch(j, now_, width);
+    } else {
+      make_pending(j);
     }
     try_dispatch();
     maybe_grow();
@@ -242,29 +306,47 @@ class Simulator {
            !st.redispatch;
   }
 
+  /// One dispatch round: offers the pending jobs in pick order and places
+  /// each that fits. A dispatch or a capacity request changes no other
+  /// job's pending status, so each class keeps a cursor at its first job
+  /// not yet offered this round, and pick() chooses among those heads.
+  ///
+  /// Once a class's candidate has failed and its capacity request has
+  /// settled, every later candidate of that class fails and requests
+  /// nothing until the next dispatch. The class then leaves the heads;
+  /// when something dispatches, its cursor jumps past the jobs that the
+  /// pick order put before the dispatched one (each would have been offered
+  /// and skipped) and it rejoins. A round whose heads are all settled ends:
+  /// what is left would only be skipped.
   void try_dispatch() {
-    std::vector<int> skipped;
-    while (true) {
-      std::vector<int> pend;
-      for (int i = 0; i < static_cast<int>(states_.size()); ++i) {
-        if (!is_pending(states_[static_cast<std::size_t>(i)])) continue;
-        if (std::find(skipped.begin(), skipped.end(), i) != skipped.end())
-          continue;
-        pend.push_back(i);
+    std::vector<PendingBucket::iterator> cursor(pending_.size());
+    std::vector<std::size_t> heads;  ///< unsettled classes with a job left
+    for (std::size_t c = 0; c < pending_.size(); ++c) {
+      cursor[c] = pending_[c].begin();
+      if (cursor[c] != pending_[c].end()) heads.push_back(c);
+    }
+    std::vector<bool> settled(pending_.size(), false);
+    std::vector<const JobSpec*> specs;
+    const auto drop_head = [&](std::size_t h) {
+      heads[h] = heads.back();
+      heads.pop_back();
+    };
+    while (!heads.empty()) {
+      specs.clear();
+      for (std::size_t c : heads) {
+        const auto head = static_cast<std::size_t>(cursor[c]->job);
+        specs.push_back(&states_[head].spec);
       }
-      if (pend.empty()) return;
-      std::sort(pend.begin(), pend.end(), [&](int a, int b) {
-        const JobSpec& sa = states_[static_cast<std::size_t>(a)].spec;
-        const JobSpec& sb = states_[static_cast<std::size_t>(b)].spec;
-        if (sa.submit_s != sb.submit_s) return sa.submit_s < sb.submit_s;
-        return sa.id < sb.id;
-      });
-      std::vector<const JobSpec*> specs;
-      specs.reserve(pend.size());
-      for (int i : pend) specs.push_back(&states_[static_cast<std::size_t>(i)].spec);
-      const int j = pend[static_cast<std::size_t>(
-          engine_.pick(specs, tenant_usage_))];
+      ++work_.picks;
+      work_.examined += static_cast<std::int64_t>(heads.size());
+      const auto h =
+          static_cast<std::size_t>(engine_.pick(specs, tenant_usage_));
+      const std::size_t c = heads[h];
+      const PendingBucket::iterator it = cursor[c]++;
+      const bool exhausted = cursor[c] == pending_[c].end();
+      const int j = it->job;
       JobState& st = states_[static_cast<std::size_t>(j)];
+      SWC_CHECK(is_pending(st));
       const int free = cluster_.free_count();
       int width = 0;
       if (free >= st.spec.replicas) {
@@ -273,34 +355,72 @@ class Simulator {
         width = free;  // shrunken start; maybe_grow recovers the rest later
       }
       if (width > 0) {
+        if (exhausted) drop_head(h);
+        // Catch up before the dispatch moves tenant usage, and so the order.
+        for (std::size_t k = 0; k < settled.size(); ++k) {
+          if (!settled[k]) continue;
+          settled[k] = false;
+          skip_preceding(pending_[k], cursor[k], j);
+          if (cursor[k] != pending_[k].end()) heads.push_back(k);
+        }
+        pending_[c].erase(it);
         dispatch(j, now_, width);
         continue;
       }
-      if (engine_.preemptive()) request_capacity(st);
+      bool repeat_is_noop = true;
+      if (engine_.preemptive()) repeat_is_noop = request_capacity(st);
       if (engine_.head_of_line()) return;  // FIFO: no backfilling
-      skipped.push_back(j);
+      settled[c] = repeat_is_noop;
+      if (exhausted || settled[c]) drop_head(h);
     }
   }
 
+  /// Moves `cursor` past the jobs of `bucket` that go before job `next` in
+  /// pick order. Pick order within a class is submit order and the class
+  /// key either differs from next's (all or none go before) or ties with it
+  /// (submit order decides), so two comparisons and a lookup find the spot.
+  void skip_preceding(const PendingBucket& bucket,
+                      PendingBucket::iterator& cursor, int next) {
+    if (cursor == bucket.end()) return;
+    const JobSpec& n = states_[static_cast<std::size_t>(next)].spec;
+    const auto goes_before = [&](const PendingKey& k) {
+      ++work_.examined;
+      return engine_.before(states_[static_cast<std::size_t>(k.job)].spec, n,
+                            tenant_usage_);
+    };
+    if (!goes_before(*cursor)) return;
+    if (goes_before(*std::prev(bucket.end())))
+      cursor = bucket.end();
+    else
+      cursor = bucket.lower_bound(pending_key(next));
+  }
+
   /// Marks shrinks/preemptions so at least `cand.min_nodes` nodes free up.
-  void request_capacity(const JobState& cand) {
+  /// Returns whether a repeat call for a candidate of the same class would
+  /// mark nothing more before the next dispatch. Other requests only add
+  /// capacity and marks, so that holds until a dispatch, unless this call
+  /// stopped early on an `avail` that counts an upgraded grow as its target
+  /// width rather than its current one.
+  bool request_capacity(const JobState& cand) {
     const int target = cand.spec.min_nodes;
     int avail = cluster_.free_count();
-    for (const JobState& r : states_) {
-      if (!r.running) continue;
+    work_.examined += static_cast<std::int64_t>(running_.size());
+    for (int i : running_) {
+      const JobState& r = states_[static_cast<std::size_t>(i)];
       if (r.preempt_marked)
         avail += r.width;
       else if (r.resize_to != 0 && r.resize_to < r.width)
         avail += r.width - r.resize_to;
     }
-    if (avail >= target) return;  // enough capacity already on the way
+    if (avail >= target) return true;  // enough capacity already on the way
     if (options_.elastic && engine_.rebalances()) {
       // Fair-share first resort: shrink elastic gangs of over-served
       // tenants instead of evicting them.
       std::vector<int> shrinkable;
-      for (int i = 0; i < static_cast<int>(states_.size()); ++i) {
+      work_.examined += static_cast<std::int64_t>(running_.size());
+      for (int i : running_) {
         const JobState& r = states_[static_cast<std::size_t>(i)];
-        if (!r.running || r.preempt_marked || r.resize_to != 0) continue;
+        if (r.preempt_marked || r.resize_to != 0) continue;
         if (!will_outlive_quantum(r)) continue;
         if (r.width <= r.spec.min_nodes) continue;
         if (!engine_.may_preempt(cand.spec, r.spec, tenant_usage_)) continue;
@@ -319,14 +439,16 @@ class Simulator {
         JobState& r = states_[static_cast<std::size_t>(i)];
         const int give = std::min(r.width - r.spec.min_nodes, target - avail);
         r.resize_to = r.width - give;
+        ++in_flux_;
         avail += give;
       }
-      if (avail >= target) return;
+      if (avail >= target) return true;
     }
     std::vector<int> victims;
-    for (int i = 0; i < static_cast<int>(states_.size()); ++i) {
+    work_.examined += static_cast<std::int64_t>(running_.size());
+    for (int i : running_) {
       const JobState& r = states_[static_cast<std::size_t>(i)];
-      if (!r.running || r.preempt_marked) continue;
+      if (r.preempt_marked) continue;
       if (!will_outlive_quantum(r)) continue;  // frees on its own shortly
       if (!engine_.may_preempt(cand.spec, r.spec, tenant_usage_)) continue;
       victims.push_back(i);
@@ -343,17 +465,23 @@ class Simulator {
       }
       return sa.id > sb.id;  // newest first: preserve the oldest work
     });
+    bool upgraded_grow = false;
+    std::size_t marked = 0;
     for (int i : victims) {
       if (avail >= target) break;
       JobState& r = states_[static_cast<std::size_t>(i)];
       if (r.resize_to != 0) {
+        upgraded_grow |= r.resize_to > r.width;
         avail += r.resize_to;  // upgrade a planned shrink to a full eviction
         r.resize_to = 0;
       } else {
         avail += r.width;
+        ++in_flux_;
       }
       r.preempt_marked = true;
+      ++marked;
     }
+    return !upgraded_grow || marked == victims.size();
   }
 
   /// Grows the most-shrunken running elastic gang back toward its requested
@@ -361,14 +489,12 @@ class Simulator {
   void maybe_grow() {
     if (!options_.elastic) return;
     if (cluster_.free_count() == 0) return;
-    for (const JobState& st : states_) {
-      if (st.arrived && !st.done && !st.running) return;  // someone waits
-      if (st.running && (st.preempt_marked || st.resize_to != 0)) return;
-    }
+    if (waiting_ > 0 || in_flux_ > 0) return;
     int best = -1;
-    for (int i = 0; i < static_cast<int>(states_.size()); ++i) {
+    work_.examined += static_cast<std::int64_t>(running_.size());
+    for (int i : running_) {
       const JobState& r = states_[static_cast<std::size_t>(i)];
-      if (!r.running || r.width >= r.spec.replicas) continue;
+      if (r.width >= r.spec.replicas) continue;
       if (!will_outlive_quantum(r)) continue;  // growth would never run
       if (best < 0) {
         best = i;
@@ -382,11 +508,13 @@ class Simulator {
     if (best < 0) return;
     JobState& r = states_[static_cast<std::size_t>(best)];
     r.resize_to = std::min(r.spec.replicas, r.width + cluster_.free_count());
+    ++in_flux_;
   }
 
   ScheduleResult finish_result() {
     ScheduleResult out;
     out.spans = std::move(spans_);
+    out.work = work_;
     SchedMetrics& m = out.metrics;
     m.jobs = static_cast<int>(states_.size());
     std::vector<double> waits;
@@ -443,6 +571,11 @@ class Simulator {
   PolicyEngine engine_;
   Cluster cluster_;
   std::vector<JobState> states_;
+  std::vector<PendingBucket> pending_;  ///< pending jobs, one bucket a class
+  std::vector<int> running_;            ///< running jobs, ascending index
+  int waiting_ = 0;  ///< arrived, unfinished, not running (maybe_grow waits)
+  int in_flux_ = 0;  ///< running with a planned eviction or resize
+  DecisionWork work_;
   std::vector<double> tenant_usage_;  ///< retired node-seconds per tenant
   std::vector<JobSpan> spans_;
   std::priority_queue<Event, std::vector<Event>, EventLater> heap_;

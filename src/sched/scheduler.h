@@ -75,10 +75,24 @@ struct SchedMetrics {
   double slowdown_spread = 0.0;
 };
 
+/// Deterministic host-work counts of the scheduler's decisions: exact where
+/// host time is noise, so an algorithmic regression shows as a changed
+/// count. Not a schedule metric; no schedule depends on it.
+struct DecisionWork {
+  /// Candidates the dispatch rounds picked and checked: each was placed,
+  /// or failed and (under a preemptive policy) requested capacity.
+  std::int64_t picks = 0;
+  /// Job states examined: the class heads each pick compares, the bucket
+  /// ends a dispatch compares to move past skipped jobs, and the running
+  /// gangs each capacity request and grow decision scans.
+  std::int64_t examined = 0;
+};
+
 struct ScheduleResult {
   std::vector<JobRecord> jobs;  ///< indexed by JobSpec::id
   std::vector<JobSpan> spans;   ///< recorded in dispatch order
   SchedMetrics metrics;
+  DecisionWork work;
 };
 
 /// Runs the full simulation until every job finishes. Pure in its inputs.

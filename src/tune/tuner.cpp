@@ -73,9 +73,15 @@ DirectionChoice Tuner::tune_direction(const core::ConvGeom& gpg,
       plan->candidates.push_back(c);
     }
   }
-  // The default blocking always satisfies the LDM/DMA contracts (it is what
-  // every verified paper net runs), so the explicit path cannot come up dry.
-  SWC_CHECK_GE(best_explicit, 0.0);
+  // The default blocking satisfies the LDM/DMA contracts on every verified
+  // paper net, but an extreme geometry (a 2e9-pixel image) can leave no
+  // legal blocking at all; that is an error the caller must see, not a
+  // plan.
+  SWC_CHECK_MSG(best_explicit >= 0.0,
+                "no legal explicit plan for " << plan->layer << ": all "
+                                              << blockings.size()
+                                              << " GEMM blockings fail the "
+                                                 "check:: rules");
   choice.explicit_s = best_explicit;
 
   // --- Implicit path: search the channel tiling space -----------------------

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -180,6 +181,36 @@ TEST(PolicyTest, PickFollowsThePolicy) {
   EXPECT_EQ(PolicyEngine(Policy::kPriority).pick(pending, usage), 1);
   // Least-served tenant (tenant 1, 5 node-seconds) goes first.
   EXPECT_EQ(PolicyEngine(Policy::kFairShare).pick(pending, usage), 1);
+}
+
+TEST(PolicyTest, PickOrderIsPolicyKeyThenSubmitOrder) {
+  JobSpec early = job_with(0, 1, 0);
+  early.submit_s = 1.0;
+  JobSpec late_urgent = job_with(1, 2, 1);
+  late_urgent.submit_s = 2.0;
+  JobSpec late_peer = job_with(2, 1, 0);  // early's priority and tenant
+  late_peer.submit_s = 2.0;
+  const std::vector<double> usage = {10.0, 5.0};
+
+  const PolicyEngine fifo(Policy::kFifo);
+  EXPECT_TRUE(fifo.before(early, late_urgent, usage));
+  EXPECT_FALSE(fifo.before(late_urgent, early, usage));
+  EXPECT_TRUE(fifo.before(late_urgent, late_peer, usage));  // id breaks ties
+  for (const Policy policy : {Policy::kPriority, Policy::kFairShare}) {
+    const PolicyEngine engine(policy);
+    // The policy key (priority / tenant usage) outranks submit order...
+    EXPECT_TRUE(engine.before(late_urgent, early, usage));
+    // ...and between jobs that share it, submit order decides.
+    EXPECT_TRUE(engine.before(early, late_peer, usage));
+    EXPECT_FALSE(engine.before(late_peer, early, usage));
+  }
+
+  // pick() is the first in pick order, whatever order it is offered in.
+  const std::vector<const JobSpec*> shuffled = {&late_peer, &late_urgent,
+                                                &early};
+  EXPECT_EQ(fifo.pick(shuffled, usage), 2);
+  EXPECT_EQ(PolicyEngine(Policy::kPriority).pick(shuffled, usage), 1);
+  EXPECT_EQ(PolicyEngine(Policy::kFairShare).pick(shuffled, usage), 1);
 }
 
 TEST(PolicyTest, MayPreemptSemantics) {
@@ -351,6 +382,107 @@ TEST(SchedulerTest, EveryPolicysTimelineIsSilent) {
     const check::Report report = check::verify_timeline(g);
     EXPECT_TRUE(report.empty())
         << policy_name(policy) << ": " << report.summary();
+  }
+}
+
+// FNV-1a over the bytes of 64-bit words, low byte first.
+struct Fnv1a {
+  std::uint64_t h = 14695981039346656037ull;
+  void word(std::uint64_t w) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (w >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  void real(double x) { word(std::bit_cast<std::uint64_t>(x)); }
+  void text(const std::string& s) {
+    word(s.size());
+    for (char c : s) word(static_cast<unsigned char>(c));
+  }
+};
+
+std::uint64_t schedule_hash(const ScheduleResult& res) {
+  Fnv1a f;
+  for (const JobSpan& s : res.spans) {
+    f.word(static_cast<std::uint64_t>(s.job));
+    f.text(s.job_name);
+    f.word(static_cast<std::uint64_t>(s.span));
+    f.word(static_cast<std::uint64_t>(s.kind));
+    f.word(s.nodes.size());
+    for (int n : s.nodes) f.word(static_cast<std::uint64_t>(n));
+    f.real(s.start_s);
+    f.real(s.end_s);
+    f.word(static_cast<std::uint64_t>(s.iters));
+  }
+  for (const JobRecord& r : res.jobs) {
+    f.word(static_cast<std::uint64_t>(r.job));
+    f.text(r.name);
+    f.word(static_cast<std::uint64_t>(r.tenant));
+    f.real(r.submit_s);
+    f.real(r.first_start_s);
+    f.real(r.finish_s);
+    f.word(static_cast<std::uint64_t>(r.iters));
+    f.word(static_cast<std::uint64_t>(r.preemptions));
+    f.word(static_cast<std::uint64_t>(r.resizes));
+    f.word(static_cast<std::uint64_t>(r.final_width));
+    f.real(r.ideal_s);
+  }
+  return f.h;
+}
+
+TEST(SchedulerTest, OverloadedSchedulesUnchanged) {
+  // Pins every span and job record of twelve overloaded schedules (each
+  // policy x elastic on/off x Poisson/bursty arrivals, >= 200 jobs on 32
+  // nodes): a reordered pick, a missed victim or a stale skip anywhere in
+  // the dispatch, capacity or grow decisions changes the hash.
+  struct Case {
+    Policy policy;
+    bool elastic;
+    serve::ArrivalKind arrivals;
+    std::uint64_t hash;
+  };
+  constexpr auto kPoisson = serve::ArrivalKind::kPoisson;
+  constexpr auto kBursty = serve::ArrivalKind::kBursty;
+  constexpr Case kCases[] = {
+      {Policy::kFifo, true, kPoisson, 0x692fc6708b3b8ed9ull},
+      {Policy::kFifo, true, kBursty, 0x07403bc1f7353108ull},
+      {Policy::kFifo, false, kPoisson, 0xf27b0109ed03a9afull},
+      {Policy::kFifo, false, kBursty, 0x8031412542cc0617ull},
+      {Policy::kPriority, true, kPoisson, 0x8533389a26df8785ull},
+      {Policy::kPriority, true, kBursty, 0x44d9abbcd25f4f5dull},
+      {Policy::kPriority, false, kPoisson, 0x364e483d33e2d2fdull},
+      {Policy::kPriority, false, kBursty, 0x0995717704f5068full},
+      {Policy::kFairShare, true, kPoisson, 0x43dc7093e14c4927ull},
+      {Policy::kFairShare, true, kBursty, 0xbf93107f56da0dc6ull},
+      {Policy::kFairShare, false, kPoisson, 0xf1db7324d5e75923ull},
+      {Policy::kFairShare, false, kBursty, 0xabba7b4c78e7546bull},
+  };
+  const hw::CostModel cost;
+  for (const Case& c : kCases) {
+    WorkloadSpec w;
+    w.arrivals.kind = c.arrivals;
+    // Bursty peaks at 3x the Poisson rate for a quarter of each 200 s
+    // period, so both traces carry ~240 jobs.
+    w.arrivals.rate = c.arrivals == kBursty ? 0.6 : 0.2;
+    w.arrivals.burst_period_s = 200.0;
+    w.arrivals.duration_s = 1100.0;
+    w.arrivals.seed = 3;
+    w.seed = 3;
+    w.tenants = 3;
+    w.elastic = c.elastic;
+    const std::vector<JobSpec> jobs = generate_workload(w);
+    ASSERT_GE(jobs.size(), 200u);
+    SchedOptions o;
+    o.cluster_nodes = 32;
+    o.supernode_size = 8;
+    o.quantum_iters = 25;
+    o.policy = c.policy;
+    o.elastic = c.elastic;
+    const ScheduleResult res = simulate_schedule(cost, jobs, o);
+    EXPECT_EQ(schedule_hash(res), c.hash)
+        << policy_name(c.policy) << (c.elastic ? " elastic " : " rigid ")
+        << serve::arrival_kind_name(c.arrivals) << ": " << jobs.size()
+        << " jobs, " << res.spans.size() << " spans";
   }
 }
 
