@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "base/log.h"
+#include "base/rng.h"
 #include "core/layers.h"
 
 namespace swcaffe::core {
@@ -127,10 +128,17 @@ void DropoutLayer::forward(const std::vector<tensor::Tensor*>& bottoms,
     return;
   }
   // Inverted dropout: scale kept activations so test time is an identity.
+  // Mask element i is a pure function of (seed, layer, replica, iteration,
+  // i): layers and replicas draw their own masks, and a replayed iteration
+  // redraws the same one.
   const float keep = 1.0f - spec_.dropout_ratio;
   const float scale = 1.0f / keep;
+  const base::Key key = base::Key(draw_.seed, base::Site::kDropout)
+                            .then(static_cast<std::uint64_t>(draw_.layer))
+                            .then(static_cast<std::uint64_t>(draw_.replica))
+                            .then(static_cast<std::uint64_t>(draw_.iter));
   for (std::size_t i = 0; i < in.size(); ++i) {
-    mask_[i] = rng_.bernoulli(keep) ? scale : 0.0f;
+    mask_[i] = base::bernoulli(key.bits(i), keep) ? scale : 0.0f;
     out[i] = in[i] * mask_[i];
   }
 }

@@ -76,9 +76,9 @@ void ConvLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
   desc_.param_count = geom_.weight_count() + (spec_.bias ? geom_.out_c : 0);
 }
 
-void ConvLayer::init_params(base::Rng& rng) {
-  tensor::fill(*params_[0], spec_.weight_filler, rng);
-  if (spec_.bias) tensor::fill(*params_[1], spec_.bias_filler, rng);
+std::vector<tensor::FillerSpec> ConvLayer::param_fillers() const {
+  if (!spec_.bias) return {spec_.weight_filler};
+  return {spec_.weight_filler, spec_.bias_filler};
 }
 
 void ConvLayer::set_plan(const ConvPlanAssignment& assignment) {

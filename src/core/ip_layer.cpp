@@ -34,9 +34,9 @@ void InnerProductLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
       static_cast<std::int64_t>(n_) * k_ + (spec_.bias ? n_ : 0);
 }
 
-void InnerProductLayer::init_params(base::Rng& rng) {
-  tensor::fill(*params_[0], spec_.weight_filler, rng);
-  if (spec_.bias) tensor::fill(*params_[1], spec_.bias_filler, rng);
+std::vector<tensor::FillerSpec> InnerProductLayer::param_fillers() const {
+  if (!spec_.bias) return {spec_.weight_filler};
+  return {spec_.weight_filler, spec_.bias_filler};
 }
 
 void InnerProductLayer::forward(const std::vector<tensor::Tensor*>& bottoms,

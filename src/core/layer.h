@@ -1,21 +1,33 @@
 // Layer interface in the Caffe mould: setup reshapes tops from bottoms and
-// allocates parameters, init_params draws their initial values;
-// forward/backward implement the math. Backward
+// allocates parameters, param_fillers names the fillers the net draws them
+// from; forward/backward implement the math. Backward
 // ACCUMULATES into bottom diffs (the net zeroes diffs once per iteration),
 // which makes multi-consumer blobs (residual connections, inception fan-out)
 // correct without Caffe's explicit Split layers.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "base/rng.h"
 #include "core/layer_desc.h"
 #include "core/spec.h"
 #include "tensor/tensor.h"
 
 namespace swcaffe::core {
+
+/// What a forward pass's draws (dropout masks, synthetic batches) are keyed
+/// by, besides the element: the net's seed, the layer's index in the net,
+/// the logical replica and the solver iteration (DESIGN.md "Randomness").
+/// The net sets them before every forward, so replaying an iteration redraws
+/// the same values.
+struct DrawCoords {
+  std::uint64_t seed = 1;
+  int layer = 0;
+  int replica = 0;
+  std::int64_t iter = 0;
+};
 
 class Layer {
  public:
@@ -31,9 +43,14 @@ class Layer {
   virtual void setup(const std::vector<tensor::Tensor*>& bottoms,
                      const std::vector<tensor::Tensor*>& tops) = 0;
 
-  /// Writes the initial parameter values (the spec's fillers, drawing from
-  /// `rng`). Runs after setup(); layers without parameters keep the no-op.
-  virtual void init_params(base::Rng& /*rng*/) {}
+  /// The filler of each params() entry, in order (valid after setup()).
+  /// Net::draw_params draws them; layers without parameters return none.
+  virtual std::vector<tensor::FillerSpec> param_fillers() const { return {}; }
+
+  /// Adjusts the freshly drawn parameters (runs after every filler).
+  virtual void after_draw() {}
+
+  void set_draw_coords(const DrawCoords& coords) { draw_ = coords; }
 
   virtual void forward(const std::vector<tensor::Tensor*>& bottoms,
                        const std::vector<tensor::Tensor*>& tops) = 0;
@@ -66,6 +83,7 @@ class Layer {
   Phase phase_ = Phase::kTrain;
   std::vector<std::shared_ptr<tensor::Tensor>> params_;
   LayerDesc desc_;
+  DrawCoords draw_;
 };
 
 /// Factory: instantiates the concrete layer class for a spec.

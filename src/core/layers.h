@@ -17,7 +17,7 @@ class ConvLayer : public Layer {
   explicit ConvLayer(const LayerSpec& spec) : Layer(spec) {}
   void setup(const std::vector<tensor::Tensor*>& bottoms,
              const std::vector<tensor::Tensor*>& tops) override;
-  void init_params(base::Rng& rng) override;
+  std::vector<tensor::FillerSpec> param_fillers() const override;
   void forward(const std::vector<tensor::Tensor*>& bottoms,
                const std::vector<tensor::Tensor*>& tops) override;
   void backward(const std::vector<tensor::Tensor*>& tops,
@@ -47,7 +47,7 @@ class InnerProductLayer : public Layer {
   explicit InnerProductLayer(const LayerSpec& spec) : Layer(spec) {}
   void setup(const std::vector<tensor::Tensor*>& bottoms,
              const std::vector<tensor::Tensor*>& tops) override;
-  void init_params(base::Rng& rng) override;
+  std::vector<tensor::FillerSpec> param_fillers() const override;
   void forward(const std::vector<tensor::Tensor*>& bottoms,
                const std::vector<tensor::Tensor*>& tops) override;
   void backward(const std::vector<tensor::Tensor*>& tops,
@@ -66,7 +66,8 @@ class LstmLayer : public Layer {
   explicit LstmLayer(const LayerSpec& spec) : Layer(spec) {}
   void setup(const std::vector<tensor::Tensor*>& bottoms,
              const std::vector<tensor::Tensor*>& tops) override;
-  void init_params(base::Rng& rng) override;
+  std::vector<tensor::FillerSpec> param_fillers() const override;
+  void after_draw() override;
   void forward(const std::vector<tensor::Tensor*>& bottoms,
                const std::vector<tensor::Tensor*>& tops) override;
   void backward(const std::vector<tensor::Tensor*>& tops,
@@ -139,7 +140,7 @@ class BatchNormLayer : public Layer {
   explicit BatchNormLayer(const LayerSpec& spec) : Layer(spec) {}
   void setup(const std::vector<tensor::Tensor*>& bottoms,
              const std::vector<tensor::Tensor*>& tops) override;
-  void init_params(base::Rng& rng) override;
+  std::vector<tensor::FillerSpec> param_fillers() const override;
   void forward(const std::vector<tensor::Tensor*>& bottoms,
                const std::vector<tensor::Tensor*>& tops) override;
   void backward(const std::vector<tensor::Tensor*>& tops,
@@ -179,9 +180,11 @@ class DropoutLayer : public Layer {
                 const std::vector<tensor::Tensor*>& bottoms,
                 const std::vector<bool>& prop_down) override;
 
+  /// The last training forward's mask: 0 or 1 / (1 - ratio) per element.
+  const std::vector<float>& mask() const { return mask_; }
+
  private:
   std::vector<float> mask_;
-  base::Rng rng_{0x5eed};
 };
 
 class SoftmaxLayer : public Layer {
@@ -271,7 +274,8 @@ class TransformLayer : public Layer {
 };
 
 /// Deterministic synthetic data source: label-conditioned gaussian images,
-/// the stand-in for ImageNet (see DESIGN.md substitutions).
+/// the stand-in for ImageNet (see DESIGN.md substitutions). A batch is a
+/// pure function of (seed, iteration).
 class SyntheticDataLayer : public Layer {
  public:
   explicit SyntheticDataLayer(const LayerSpec& spec) : Layer(spec) {}
@@ -282,9 +286,6 @@ class SyntheticDataLayer : public Layer {
   void backward(const std::vector<tensor::Tensor*>& tops,
                 const std::vector<tensor::Tensor*>& bottoms,
                 const std::vector<bool>& prop_down) override;
-
- private:
-  base::Rng rng_{0xda7a};
 };
 
 }  // namespace swcaffe::core

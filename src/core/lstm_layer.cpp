@@ -66,15 +66,15 @@ void LstmLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
                       (spec_.bias ? 4 * hidden_ : 0);
 }
 
-void LstmLayer::init_params(base::Rng& rng) {
-  tensor::fill(*params_[0], spec_.weight_filler, rng);
-  tensor::fill(*params_[1], spec_.weight_filler, rng);
-  if (spec_.bias) {
-    tensor::Tensor& b = *params_[2];
-    tensor::fill(b, spec_.bias_filler, rng);
-    // Unit forget-gate bias: the standard trick for gradient flow.
-    for (int h = hidden_; h < 2 * hidden_; ++h) b.data()[h] += 1.0f;
-  }
+std::vector<tensor::FillerSpec> LstmLayer::param_fillers() const {
+  if (!spec_.bias) return {spec_.weight_filler, spec_.weight_filler};
+  return {spec_.weight_filler, spec_.weight_filler, spec_.bias_filler};
+}
+
+void LstmLayer::after_draw() {
+  // Unit forget-gate bias: the standard trick for gradient flow.
+  if (!spec_.bias) return;
+  for (int h = hidden_; h < 2 * hidden_; ++h) params_[2]->data()[h] += 1.0f;
 }
 
 void LstmLayer::forward(const std::vector<tensor::Tensor*>& bottoms,

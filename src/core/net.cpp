@@ -4,13 +4,13 @@
 
 #include "base/log.h"
 #include "core/layers.h"
+#include "tensor/filler.h"
 
 namespace swcaffe::core {
 
 Net::Net(const NetSpec& spec, std::optional<std::uint64_t> seed)
     : spec_(spec) {
-  std::optional<base::Rng> rng;
-  if (seed) rng.emplace(*seed);
+  draws_.seed = seed.value_or(1);
   std::map<std::string, bool> blob_needs_grad;
 
   auto get_blob = [&](const std::string& name) -> tensor::Tensor* {
@@ -45,7 +45,6 @@ Net::Net(const NetSpec& spec, std::optional<std::uint64_t> seed)
       tops.push_back(get_blob(t));
     }
     layer->setup(bottoms, tops);
-    if (rng) layer->init_params(*rng);
 
     std::vector<bool> prop(bottoms.size(), false);
     bool any_bottom_grad = false;
@@ -62,11 +61,59 @@ Net::Net(const NetSpec& spec, std::optional<std::uint64_t> seed)
     tops_.push_back(std::move(tops));
     layers_.push_back(std::move(layer));
   }
+  if (seed) draw_params(*seed);
+}
+
+void Net::draw_params(std::uint64_t seed, sim::ThreadPool* pool) {
+  // Chunks of at most kChunk elements of one parameter: small enough to
+  // balance a few large fully connected weights across the pool.
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  struct Chunk {
+    tensor::Tensor* param;
+    tensor::FillerSpec spec;
+    base::Key key;
+    std::size_t first, count;
+  };
+  const base::Key net_key(seed, base::Site::kFiller);
+  std::vector<Chunk> chunks;
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    const auto& params = layers_[l]->params();
+    const std::vector<tensor::FillerSpec> fillers =
+        layers_[l]->param_fillers();
+    SWC_CHECK_EQ(fillers.size(), params.size());
+    const base::Key layer_key = net_key.then(l);
+    for (std::size_t p = 0; p < params.size(); ++p) {
+      const std::size_t n = params[p]->count();
+      for (std::size_t first = 0; first < n; first += kChunk) {
+        chunks.push_back({params[p].get(), fillers[p], layer_key.then(p),
+                          first, std::min(kChunk, n - first)});
+      }
+    }
+  }
+  auto body = [&](int c) {
+    const Chunk& k = chunks[static_cast<std::size_t>(c)];
+    tensor::fill_range(k.spec, k.param->shape(), k.key, k.first,
+                       k.param->data().subspan(k.first, k.count));
+  };
+  const int n = static_cast<int>(chunks.size());
+  if (pool != nullptr) {
+    pool->parallel_for(0, n, body);
+  } else {
+    for (int c = 0; c < n; ++c) body(c);
+  }
+  for (auto& l : layers_) l->after_draw();
+}
+
+void Net::set_stream(std::uint64_t seed, int replica) {
+  draws_.seed = seed;
+  draws_.replica = replica;
 }
 
 double Net::forward() {
   double loss = 0.0;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
+    draws_.layer = static_cast<int>(i);
+    layers_[i]->set_draw_coords(draws_);
     layers_[i]->forward(bottoms_[i], tops_[i]);
     if (layers_[i]->loss_weight() > 0.0) {
       loss += layers_[i]->loss_weight() * tops_[i][0]->data()[0];

@@ -14,20 +14,36 @@
 
 #include "core/layer.h"
 #include "core/spec.h"
+#include "sim/thread_pool.h"
 #include "tensor/tensor.h"
 
 namespace swcaffe::core {
 
 class Net {
  public:
-  /// Builds every layer. With a seed, each layer's parameters are drawn from
-  /// one Rng(seed) right after its setup, in spec order. std::nullopt draws
-  /// nothing and leaves every parameter at 0.0f: for a replica that
-  /// copy_params_from() fills next, or a net only its shapes are read from.
+  /// Builds every layer. With a seed, draw_params(seed) runs on this thread
+  /// once every layer is set up. std::nullopt draws nothing and leaves every
+  /// parameter at 0.0f: for a replica that copy_params_from() or
+  /// draw_params() fills next, or a net only its shapes are read from.
+  /// Either way the forward-pass draws are keyed by (seed or 1, replica 0).
   explicit Net(const NetSpec& spec, std::optional<std::uint64_t> seed = 1);
 
   Net(const Net&) = delete;
   Net& operator=(const Net&) = delete;
+
+  /// Writes every parameter from its layer's filler. Element e of parameter
+  /// p of layer l is a pure function of (seed, l, p, e), so the weights are
+  /// bit-identical whether the chunks run serially or on `pool`.
+  void draw_params(std::uint64_t seed, sim::ThreadPool* pool = nullptr);
+
+  /// Keys the forward pass's draws (dropout masks, synthetic batches) by
+  /// `seed` and the logical `replica` (see DrawCoords).
+  void set_stream(std::uint64_t seed, int replica);
+
+  /// The solver iteration the next forward's draws are keyed by; the net's
+  /// SgdSolver keeps it equal to its own iteration.
+  void set_iteration(std::int64_t iter) { draws_.iter = iter; }
+  std::int64_t iteration() const { return draws_.iter; }
 
   /// Runs all layers; returns the weighted sum of loss-layer outputs.
   double forward();
@@ -88,6 +104,7 @@ class Net {
  private:
   NetSpec spec_;
   Phase phase_ = Phase::kTrain;
+  DrawCoords draws_;  ///< stream seed, replica and iteration; layer per call
   std::map<std::string, std::unique_ptr<tensor::Tensor>> blobs_;
   std::vector<std::unique_ptr<Layer>> layers_;
   std::vector<std::vector<tensor::Tensor*>> bottoms_;

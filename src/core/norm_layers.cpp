@@ -38,9 +38,9 @@ void BatchNormLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
   desc_.param_count = 2 * channels_;
 }
 
-void BatchNormLayer::init_params(base::Rng& /*rng*/) {
-  // Identity scale, zero shift: the constant start draws nothing.
-  std::fill(params_[0]->data().begin(), params_[0]->data().end(), 1.0f);
+std::vector<tensor::FillerSpec> BatchNormLayer::param_fillers() const {
+  // Identity scale, zero shift.
+  return {tensor::FillerSpec::constant(1.0f), tensor::FillerSpec::constant(0.0f)};
 }
 
 void BatchNormLayer::forward(const std::vector<tensor::Tensor*>& bottoms,

@@ -13,6 +13,7 @@ SgdSolver::SgdSolver(Net& net, const SolverSpec& spec)
   for (auto* p : net_->learnable_params()) {
     history_.emplace_back(p->count(), 0.0f);
   }
+  net_->set_iteration(iter_);
 }
 
 float SgdSolver::current_lr() const {
@@ -56,7 +57,7 @@ void SgdSolver::apply_update() {
       }
     }
   }
-  ++iter_;
+  net_->set_iteration(++iter_);
 }
 
 void SgdSolver::snapshot(const std::string& path) const {
@@ -83,6 +84,7 @@ void SgdSolver::restore(const std::string& path) {
   std::int64_t iter = 0;
   is.read(reinterpret_cast<char*>(&iter), sizeof(iter));
   iter_ = static_cast<int>(iter);
+  net_->set_iteration(iter_);
   std::uint64_t n = 0;
   is.read(reinterpret_cast<char*>(&n), sizeof(n));
   SWC_CHECK_EQ(n, net_->param_count());
@@ -105,6 +107,7 @@ void SgdSolver::set_state(int iter,
     SWC_CHECK_EQ(history[i].size(), history_[i].size());
   }
   iter_ = iter;
+  net_->set_iteration(iter_);
   history_ = history;
 }
 

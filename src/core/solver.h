@@ -41,7 +41,9 @@ class SgdSolver {
   double compute_gradients() { return net_->forward_backward(); }
 
   /// Update half: v = momentum*v + lr*(diff + wd*w); w -= v (or the
-  /// Nesterov variant). Advances iter.
+  /// Nesterov variant). Advances iter. Every change of iter (here,
+  /// restore(), set_state()) is passed to Net::set_iteration, so the net's
+  /// dropout masks are those of the solver's iteration.
   void apply_update();
 
   float current_lr() const;

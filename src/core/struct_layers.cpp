@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "base/log.h"
+#include "base/rng.h"
 #include "core/layers.h"
 #include "tensor/layout.h"
 
@@ -209,19 +210,24 @@ void SyntheticDataLayer::forward(const std::vector<tensor::Tensor*>& /*bottoms*/
                                  const std::vector<tensor::Tensor*>& tops) {
   // Label-conditioned gaussians: class k has mean sin-pattern so that the
   // task is learnable (used by the convergence examples/tests).
+  // Labels are draws of (seed, iteration, 0), pixel noise the normal
+  // elements of (seed, iteration, 1).
   tensor::Tensor& data = *tops[0];
   tensor::Tensor& label = *tops[1];
   const int batch = data.num();
   const std::size_t img = data.count() / batch;
+  const base::Key key = base::Key(draw_.seed, base::Site::kData)
+                            .then(static_cast<std::uint64_t>(draw_.iter));
+  const base::Key labels = key.then(0);
+  const base::Key noise = key.then(1);
   for (int b = 0; b < batch; ++b) {
-    const int cls =
-        static_cast<int>(rng_.uniform_int(0, spec_.num_classes - 1));
+    const int cls = static_cast<int>(base::uniform_int(
+        labels.bits(static_cast<std::uint64_t>(b)), 0, spec_.num_classes - 1));
     label.data()[b] = static_cast<float>(cls);
     float* px = data.mutable_data_ptr() + b * img;
+    base::fill_normal(noise, b * img, std::span<float>(px, img), 0.0f, 0.25f);
     for (std::size_t i = 0; i < img; ++i) {
-      const float mean =
-          0.6f * std::sin(0.37f * static_cast<float>(i + 1) * (cls + 1));
-      px[i] = mean + rng_.gaussian(0.0f, 0.25f);
+      px[i] += 0.6f * std::sin(0.37f * static_cast<float>(i + 1) * (cls + 1));
     }
   }
 }

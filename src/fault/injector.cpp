@@ -1,26 +1,16 @@
 #include "fault/injector.h"
 
+#include "base/rng.h"
+
 namespace swcaffe::fault {
-
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 double FaultInjector::u01(Site site, std::uint64_t a, std::uint64_t b,
                           std::uint64_t c) const {
-  std::uint64_t h = splitmix64(spec_.seed ^ static_cast<std::uint64_t>(site));
-  h = splitmix64(h ^ a);
-  h = splitmix64(h ^ b);
-  h = splitmix64(h ^ c);
-  // 53 mantissa bits -> uniform in [0, 1).
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
+  return base::unit_double(
+      base::Key(spec_.seed, static_cast<std::uint64_t>(site))
+          .then(a)
+          .then(b)
+          .bits(c));
 }
 
 MessageFate FaultInjector::message_fate(std::int64_t iter, int round,

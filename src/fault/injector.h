@@ -1,7 +1,8 @@
 // swfault: the deterministic fault injector.
 //
 // Every injection decision is a pure function of (seed, site, coordinates)
-// via a splitmix64 counter hash — there is no internal RNG stream to drift.
+// via the keyed splitmix64 chain of base/rng.h — there is no internal RNG
+// stream to drift.
 // That gives the determinism guarantee the test harness builds on: the same
 // FaultSpec produces the identical fault schedule whether the run is traced
 // or not, restarted from a checkpoint or not, and regardless of how many

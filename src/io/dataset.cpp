@@ -24,22 +24,28 @@ void SyntheticImageNet::fill_image(std::int64_t index,
   const std::size_t n =
       static_cast<std::size_t>(spec_.channels) * spec_.height * spec_.width;
   out.resize(n);
-  base::Rng rng(spec_.seed ^ (static_cast<std::uint64_t>(index) * 0xABCDull));
   // Class-dependent low-frequency pattern plus noise: enough structure for a
-  // model to fit, statistically ImageNet-like in mean/variance.
+  // model to fit, statistically ImageNet-like in mean/variance. The noise is
+  // the normal stream of (seed, index).
+  base::fill_normal(
+      base::Key(spec_.seed, base::Site::kImage)
+          .then(static_cast<std::uint64_t>(index)),
+      0, out, 0.0f, 0.3f);
   for (std::size_t i = 0; i < n; ++i) {
-    const float pattern =
+    out[i] +=
         0.5f * std::sin(0.01f * static_cast<float>(i) * ((label % 17) + 1));
-    out[i] = pattern + rng.gaussian(0.0f, 0.3f);
   }
 }
 
 Sampler::Sampler(std::int64_t num_samples, std::uint64_t seed, int rank)
     : num_samples_(num_samples),
-      rng_(seed ^ (static_cast<std::uint64_t>(rank) * 0x5DEECE66Dull)) {
+      key_(base::Key(seed, base::Site::kSampler)
+               .then(static_cast<std::uint64_t>(rank))) {
   SWC_CHECK_GT(num_samples_, 0);
 }
 
-std::int64_t Sampler::next() { return rng_.uniform_int(0, num_samples_ - 1); }
+std::int64_t Sampler::next() {
+  return base::uniform_int(key_.bits(draws_++), 0, num_samples_ - 1);
+}
 
 }  // namespace swcaffe::io

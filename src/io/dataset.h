@@ -48,7 +48,8 @@ class SyntheticImageNet {
 };
 
 /// Uniform random sampler over the dataset (the paper's per-iteration
-/// "random sampling" prefetch, Sec. V-B); deterministic per seed + rank.
+/// "random sampling" prefetch, Sec. V-B): draw n is a pure function of
+/// (seed, rank, n).
 class Sampler {
  public:
   Sampler(std::int64_t num_samples, std::uint64_t seed, int rank);
@@ -56,7 +57,8 @@ class Sampler {
 
  private:
   std::int64_t num_samples_;
-  base::Rng rng_;
+  base::Key key_;
+  std::uint64_t draws_ = 0;
 };
 
 }  // namespace swcaffe::io

@@ -15,7 +15,8 @@ Prefetcher::Prefetcher(const DatasetSpec& dataset, const DiskParams& disk,
       batch_(batch),
       num_procs_(num_procs),
       sampler_(dataset.num_samples, dataset.seed, rank),
-      augment_rng_(dataset.seed ^ (0xa497ull + rank)),
+      augment_key_(base::Key(dataset.seed, base::Site::kAugment)
+                       .then(static_cast<std::uint64_t>(rank))),
       queue_depth_(queue_depth) {
   if (dataset.crop > 0) {
     SWC_CHECK_LE(dataset.crop, dataset.height);
@@ -44,18 +45,20 @@ Batch Prefetcher::pop() {
   return b;
 }
 
-void Prefetcher::augment(const std::vector<float>& image, float* dst) {
+void Prefetcher::augment(const std::vector<float>& image, std::uint64_t n,
+                         float* dst) {
   const DatasetSpec& spec = data_.spec();
   const int oh = spec.out_height(), ow = spec.out_width();
+  const base::Key key = augment_key_.then(n);
   const int y0 = spec.crop > 0 && spec.height > oh
-                     ? static_cast<int>(augment_rng_.uniform_int(
-                           0, spec.height - oh))
+                     ? static_cast<int>(base::uniform_int(key.bits(0), 0,
+                                                          spec.height - oh))
                      : 0;
   const int x0 = spec.crop > 0 && spec.width > ow
-                     ? static_cast<int>(augment_rng_.uniform_int(
-                           0, spec.width - ow))
+                     ? static_cast<int>(base::uniform_int(key.bits(1), 0,
+                                                          spec.width - ow))
                      : 0;
-  const bool flip = spec.mirror && augment_rng_.bernoulli(0.5);
+  const bool flip = spec.mirror && base::bernoulli(key.bits(2), 0.5);
   for (int c = 0; c < spec.channels; ++c) {
     const float* plane =
         image.data() + static_cast<std::size_t>(c) * spec.height * spec.width;
@@ -76,6 +79,7 @@ void Prefetcher::worker() {
   const std::size_t img = static_cast<std::size_t>(spec.channels) *
                           spec.out_height() * spec.out_width();
   std::vector<float> image;
+  std::uint64_t augmented = 0;
   while (true) {
     Batch b;
     b.images.resize(img * batch_);
@@ -83,7 +87,7 @@ void Prefetcher::worker() {
     for (int i = 0; i < batch_; ++i) {
       const std::int64_t idx = sampler_.next();
       data_.fill_image(idx, image);
-      augment(image, b.images.data() + i * img);
+      augment(image, augmented++, b.images.data() + i * img);
       b.labels[i] = static_cast<float>(data_.label_of(idx));
     }
     // A with-replacement batch larger than the dataset necessarily repeats

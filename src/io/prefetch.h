@@ -42,8 +42,9 @@ class Prefetcher {
   void worker();
 
   /// Applies random crop + mirror per the dataset spec; writes
-  /// channels * out_height * out_width floats to `dst`.
-  void augment(const std::vector<float>& image, float* dst);
+  /// channels * out_height * out_width floats to `dst`. The crop and flip
+  /// of the n-th augmented image are pure in (seed, rank, n).
+  void augment(const std::vector<float>& image, std::uint64_t n, float* dst);
 
   SyntheticImageNet data_;
   DiskParams disk_;
@@ -51,7 +52,7 @@ class Prefetcher {
   int batch_;
   int num_procs_;
   Sampler sampler_;
-  base::Rng augment_rng_{0xa497};
+  base::Key augment_key_;
   std::size_t queue_depth_;
 
   std::mutex mu_;

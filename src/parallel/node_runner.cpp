@@ -28,11 +28,13 @@ void SimpleSync::arrive_and_wait() {
 NodeRunner::NodeRunner(const core::NetSpec& spec, int num_core_groups,
                        std::uint64_t seed) {
   SWC_CHECK_GT(num_core_groups, 0);
-  // Core group 0 draws the initial weights; the others copy them.
+  // Core group 0 draws the initial weights; the others copy them. Each
+  // core group is a logical replica with its own dropout masks.
   nets_.push_back(std::make_unique<core::Net>(spec, seed));
   for (int i = 1; i < num_core_groups; ++i) {
     nets_.push_back(std::make_unique<core::Net>(spec, std::nullopt));
     nets_[i]->copy_params_from(*nets_[0]);
+    nets_[i]->set_stream(seed, i);
   }
 #ifndef NDEBUG
   // Debug builds statically verify the plans all core groups are about to
@@ -51,6 +53,9 @@ double NodeRunner::compute_gradients(std::span<const float> data,
   SWC_CHECK_EQ(data.size(), data_per_cg * cgs);
   SWC_CHECK_EQ(labels.size(), labels_per_cg * cgs);
 
+  // The master's solver keeps the master's iteration; every core group
+  // draws its masks at it.
+  const std::int64_t iter = nets_[0]->iteration();
   std::vector<double> losses(cgs, 0.0);
   SimpleSync sync(cgs);
   // Paper Fig. 5: pthread_create at iteration start, join at the end; the
@@ -60,6 +65,7 @@ double NodeRunner::compute_gradients(std::span<const float> data,
   for (int cg = 0; cg < cgs; ++cg) {
     threads.emplace_back([&, cg] {
       core::Net& net = *nets_[cg];
+      net.set_iteration(iter);
       const auto d = net.blob("data")->data();
       const auto l = net.blob("label")->data();
       std::copy_n(data.begin() + cg * data_per_cg, data_per_cg, d.begin());

@@ -25,22 +25,30 @@ SsgdTrainer::SsgdTrainer(const core::NetSpec& spec, int num_nodes,
   // Topology placement depends only on the configured algorithm; computed
   // once here and reused by every allreduce() call.
   placement_ = topo::placement_for(options_.algo);
-  // Replica 0 draws the initial weights; the others are built undrawn and
-  // copy them. Timing-only mode builds one prototype replica whose weights
-  // are never drawn: the bucket layout and its verification read only the
-  // live layers' shapes, and no gradients ever move.
-  if (options_.timing_only) {
-    nets_.push_back(std::make_unique<core::Net>(spec, std::nullopt));
-  } else {
-    nets_.push_back(std::make_unique<core::Net>(spec, seed));
-    for (int i = 1; i < num_nodes; ++i) {
-      nets_.push_back(std::make_unique<core::Net>(spec, std::nullopt));
-      nets_[i]->copy_params_from(*nets_[0]);
+  if (options_.threads > 1 && !options_.timing_only) {
+    pool_ = std::make_unique<sim::ThreadPool>(
+        std::min(options_.threads, num_nodes));
+  }
+  // Replica 0 draws the initial weights on the pool (the draw is pure in
+  // its coordinates, so the weights do not depend on the thread count);
+  // the others are built undrawn, on the pool too, and copy them. Each
+  // replica keys its own dropout masks. Timing-only mode builds one
+  // prototype replica whose weights are never drawn: the bucket layout and
+  // its verification read only the live layers' shapes, and no gradients
+  // ever move.
+  const int replicas = options_.timing_only ? 1 : num_nodes;
+  nets_.resize(static_cast<std::size_t>(replicas));
+  solvers_.resize(static_cast<std::size_t>(replicas));
+  nets_[0] = std::make_unique<core::Net>(spec, std::nullopt);
+  if (!options_.timing_only) nets_[0]->draw_params(seed, pool_.get());
+  for_each_replica([&](int r) {
+    if (r > 0) {
+      nets_[r] = std::make_unique<core::Net>(spec, std::nullopt);
+      nets_[r]->copy_params_from(*nets_[0]);
     }
-  }
-  for (const auto& net : nets_) {
-    solvers_.push_back(std::make_unique<core::SgdSolver>(*net, solver));
-  }
+    nets_[r]->set_stream(seed, r);
+    solvers_[r] = std::make_unique<core::SgdSolver>(*nets_[r], solver);
+  });
 
   // Bucket layout over the replica's LIVE layers (pack_param_diffs packs in
   // layer order, so cumulative per-layer counts are exactly the bucket
@@ -157,11 +165,6 @@ SsgdTrainer::SsgdTrainer(const core::NetSpec& spec, int num_nodes,
     SWC_CHECK_MSG(ereport.ok(), "swsched rejected the error-feedback timeline: "
                                     << ereport.summary());
   }
-
-  if (options_.threads > 1 && !options_.timing_only) {
-    pool_ = std::make_unique<sim::ThreadPool>(
-        std::min(options_.threads, num_nodes));
-  }
 }
 
 double SsgdTrainer::step(std::span<const float> data,
@@ -205,11 +208,7 @@ double SsgdTrainer::forward_backward_packed(
     grads[r].resize(n);
     net.pack_param_diffs(grads[r]);
   };
-  if (pool_) {
-    pool_->parallel_for(0, p, body);
-  } else {
-    for (int r = 0; r < p; ++r) body(r);
-  }
+  for_each_replica(body);
   double loss = 0.0;
   for (int r = 0; r < p; ++r) loss += losses[r];
   return loss / p;
@@ -322,13 +321,12 @@ void SsgdTrainer::apply(std::vector<std::vector<float>>& grads) {
   const int p = num_nodes();
   SWC_CHECK_EQ(grads.size(), static_cast<std::size_t>(p));
   const float inv = 1.0f / p;
-  for (auto& g : grads) {
-    for (auto& v : g) v *= inv;
-  }
-  for (int r = 0; r < p; ++r) {
+  // Each body touches only replica r's gradient, net and solver.
+  for_each_replica([&](int r) {
+    for (auto& v : grads[r]) v *= inv;
     nets_[r]->unpack_param_diffs(grads[r]);
     solvers_[r]->apply_update();
-  }
+  });
 }
 
 void SsgdTrainer::apply_aggregate(std::span<const float> grad) {
@@ -336,9 +334,18 @@ void SsgdTrainer::apply_aggregate(std::span<const float> grad) {
                 "timing-only trainer has no replica tensors; use "
                 "price_iteration()");
   SWC_CHECK_EQ(grad.size(), nets_[0]->param_count());
-  for (int r = 0; r < num_nodes(); ++r) {
+  for_each_replica([&](int r) {
     nets_[r]->unpack_param_diffs(grad);
     solvers_[r]->apply_update();
+  });
+}
+
+void SsgdTrainer::for_each_replica(const std::function<void(int)>& body) {
+  const int n = static_cast<int>(nets_.size());
+  if (pool_) {
+    pool_->parallel_for(0, n, body);
+  } else {
+    for (int r = 0; r < n; ++r) body(r);
   }
 }
 

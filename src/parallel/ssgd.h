@@ -9,6 +9,7 @@
 // over the same pricing lives in parallel/sweep.h.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <span>
@@ -43,8 +44,9 @@ struct SsgdOptions {
   /// reduction is elementwise and therefore bit-identical for any count.
   /// Clamps to the number of parameterized layers.
   int buckets = 1;
-  /// Host worker threads for the replica forward/backward loop (wall-clock
-  /// only; results are bit-identical to serial for any value). 1 = serial.
+  /// Host worker threads for the replica loops (forward/backward and the
+  /// update) and for drawing replica 0's initial weights (wall-clock only;
+  /// results are bit-identical to serial for any value). 1 = serial.
   int threads = 1;
   /// Gradient compression of the all-reduce payload (topo/compress). Each
   /// node encode/decodes its packed slice at the source with per-bucket
@@ -180,6 +182,10 @@ class SsgdTrainer {
   std::vector<std::vector<float>> residual_;
   trace::Tracer* tracer_ = nullptr;
   int trace_track_ = 0;
+
+  /// Runs body(r) for every replica slot, on the pool when there is one;
+  /// each body must touch only replica r's state.
+  void for_each_replica(const std::function<void(int)>& body);
 
   /// Codec-wrapped price of one bucket of `raw_bytes` on this trainer's
   /// topology (pricing only; no data movement).

@@ -4,23 +4,18 @@
 #include <iterator>
 
 #include "base/log.h"
+#include "base/rng.h"
 
 namespace swcaffe::sched {
 namespace {
 
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 /// Pure per-(seed, job, field) draw in [0, n).
 std::uint64_t draw(std::uint64_t seed, int job, int field, std::uint64_t n) {
-  std::uint64_t h = splitmix64(seed ^ 0x5c4ed5c4ed5c4ed5ULL);
-  h = splitmix64(h ^ static_cast<std::uint64_t>(job));
-  h = splitmix64(h ^ static_cast<std::uint64_t>(field));
-  return h % n;
+  const std::uint64_t bits = base::Key(seed, 0x5c4ed5c4ed5c4ed5ULL)
+                                 .then(static_cast<std::uint64_t>(job))
+                                 .bits(static_cast<std::uint64_t>(field));
+  return static_cast<std::uint64_t>(
+      base::uniform_int(bits, 0, static_cast<std::int64_t>(n) - 1));
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // Job ARRIVAL TIMES come from the swserve open-loop arrival models
 // (Poisson / bursty / trace replay) — the same generators the serving bench
 // uses, at jobs-per-second scale. Job ATTRIBUTES (model, width, length,
-// priority, tenant) are sampled per job index with a splitmix64 counter
-// hash over (seed, job, field), the swfault recipe: no RNG stream, so the
+// priority, tenant) are sampled per job index from the keyed splitmix64
+// chain of base/rng.h over (seed, job, field): no RNG stream, so the
 // workload is a pure function of the spec and two same-spec runs are
 // bit-identical — which is what makes BENCH_sched.json byte-reproducible.
 #pragma once

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "base/log.h"
+#include "base/rng.h"
 
 namespace swcaffe::serve {
 
@@ -15,19 +16,10 @@ enum class Site : std::uint64_t {
   kThinning = 0x74686e56,      // 'thnV'
 };
 
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 /// Uniform double in [0, 1), pure in (seed, site, counter).
 double u01(std::uint64_t seed, Site site, std::uint64_t counter) {
-  std::uint64_t h = splitmix64(seed ^ static_cast<std::uint64_t>(site));
-  h = splitmix64(h ^ counter);
-  // 53 mantissa bits -> uniform in [0, 1).
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
+  return base::unit_double(
+      base::Key(seed, static_cast<std::uint64_t>(site)).bits(counter));
 }
 
 }  // namespace

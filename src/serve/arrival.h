@@ -3,8 +3,8 @@
 // Serving experiments need arrival streams that are (a) open-loop — the
 // client does not wait for responses, so overload actually builds queues —
 // and (b) pure in the seed: like swfault, every arrival time is a function
-// of (seed, counter) via a splitmix64 counter hash, with no RNG stream to
-// drift. Two same-seed runs therefore produce bit-identical schedules no
+// of (seed, counter) via the keyed splitmix64 chain of base/rng.h, with no
+// RNG stream to drift. Two same-seed runs therefore produce bit-identical schedules no
 // matter how the stream is consumed, which is what makes BENCH_serving.json
 // reproducible byte for byte.
 //

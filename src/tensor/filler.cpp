@@ -1,5 +1,6 @@
 #include "tensor/filler.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "base/log.h"
@@ -41,35 +42,42 @@ FillerSpec FillerSpec::msra() {
   return s;
 }
 
-void fill(Tensor& t, const FillerSpec& spec, base::Rng& rng) {
-  auto data = t.data();
+void fill_range(const FillerSpec& spec, const std::vector<int>& shape,
+                base::Key key, std::uint64_t first, std::span<float> out) {
+  std::size_t count = 1;
+  for (const int d : shape) count *= static_cast<std::size_t>(d);
+  SWC_CHECK_LE(first + out.size(), count);
   switch (spec.type) {
     case FillerType::kConstant:
-      for (auto& v : data) v = spec.value;
+      std::fill(out.begin(), out.end(), spec.value);
       break;
     case FillerType::kUniform:
-      for (auto& v : data) v = rng.uniform(spec.min, spec.max);
+      base::fill_uniform(key, first, out, spec.min, spec.max);
       break;
     case FillerType::kGaussian:
-      for (auto& v : data) v = rng.gaussian(spec.mean, spec.stddev);
+      base::fill_normal(key, first, out, spec.mean, spec.stddev);
       break;
     case FillerType::kXavier: {
-      SWC_CHECK_GE(t.num_axes(), 2);
-      const double fan_in = static_cast<double>(t.count()) / t.dim(0);
-      const double fan_out = static_cast<double>(t.count()) / t.dim(1);
+      SWC_CHECK_GE(shape.size(), 2u);
+      const double fan_in = static_cast<double>(count) / shape[0];
+      const double fan_out = static_cast<double>(count) / shape[1];
       const float scale =
           static_cast<float>(std::sqrt(6.0 / (fan_in + fan_out)));
-      for (auto& v : data) v = rng.uniform(-scale, scale);
+      base::fill_uniform(key, first, out, -scale, scale);
       break;
     }
     case FillerType::kMsra: {
-      SWC_CHECK_GE(t.num_axes(), 2);
-      const double fan_in = static_cast<double>(t.count()) / t.dim(0);
+      SWC_CHECK_GE(shape.size(), 2u);
+      const double fan_in = static_cast<double>(count) / shape[0];
       const float stddev = static_cast<float>(std::sqrt(2.0 / fan_in));
-      for (auto& v : data) v = rng.gaussian(0.0f, stddev);
+      base::fill_normal(key, first, out, 0.0f, stddev);
       break;
     }
   }
+}
+
+void fill(Tensor& t, const FillerSpec& spec, base::Rng& rng) {
+  fill_range(spec, t.shape(), rng.split(), 0, t.data());
 }
 
 }  // namespace swcaffe::tensor

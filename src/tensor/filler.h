@@ -2,7 +2,9 @@
 // needs (constant, uniform, gaussian, Xavier, MSRA).
 #pragma once
 
-#include <string>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "base/rng.h"
 #include "tensor/tensor.h"
@@ -26,9 +28,17 @@ struct FillerSpec {
   static FillerSpec msra();
 };
 
-/// Fills `t.data()` in place. For Xavier/MSRA the fan-in/out are derived from
-/// the tensor shape the way Caffe does: fan_in = count / dim(0),
-/// fan_out = count / dim(1) when the tensor has >= 2 axes.
+/// Writes elements [first, first + out.size()) of the fill of a tensor of
+/// `shape`. Element e is a pure function of (key, e) — uniform fillers use
+/// draw e of the key's stream, gaussian ones normal element e — so any
+/// subrange can be drawn on its own, on any thread. For Xavier/MSRA the
+/// fan-in/out are derived from the shape the way Caffe does:
+/// fan_in = count / dim(0), fan_out = count / dim(1) (>= 2 axes).
+void fill_range(const FillerSpec& spec, const std::vector<int>& shape,
+                base::Key key, std::uint64_t first, std::span<float> out);
+
+/// Fills all of `t.data()` for sequential callers (tests, examples): one
+/// draw of `rng` keys the fill_range over [0, count).
 void fill(Tensor& t, const FillerSpec& spec, base::Rng& rng);
 
 }  // namespace swcaffe::tensor

@@ -17,6 +17,7 @@
 // seeds.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -442,6 +443,56 @@ TEST(FtSsgdTest, CrashWithoutCheckpointsRestartsFromInitialState) {
   FtSsgdTrainer clean(mlp(kSubBatch), kNodes, solver, ft_options(FaultSpec{}),
                       /*seed=*/9);
   run_with_restarts(clean, det_batch, 5);
+  EXPECT_EQ(weights(t.ssgd()), weights(clean.ssgd()));
+}
+
+/// mlp() with a dropout layer after the hidden ReLU.
+core::NetSpec mlp_dropout(int batch) {
+  core::NetSpec net = mlp(batch, kInDim, 32, kClasses);
+  net.layers.insert(net.layers.begin() + 2,
+                    core::dropout_spec("drop1", "h_out", "h_drop", 0.5f));
+  net.layers[3].bottoms = {"h_drop"};
+  return net;
+}
+
+TEST(FtSsgdTest, DropoutReplayRetracesTheLostIterationBitwise) {
+  // Checkpoint at iteration 2, crash at 3: the restored trainer replays
+  // iteration 2. Its dropout masks are keyed by the restored solver
+  // iteration, so every loss and the final weights equal an uninterrupted
+  // run's bit for bit.
+  const core::SolverSpec solver;
+  constexpr int kMaxIter = 6;
+  FtSsgdTrainer clean(mlp_dropout(kSubBatch), kNodes, solver,
+                      ft_options(FaultSpec{}), /*seed=*/9);
+  std::vector<double> clean_loss;
+  for (const StepResult& r : run_steps(clean, kMaxIter)) {
+    clean_loss.push_back(r.loss);
+  }
+
+  FaultSpec faults;
+  faults.crash_node = 0;
+  faults.crash_iter = 3;
+  FtOptions opts = ft_options(faults);
+  opts.checkpoint_every = 2;
+  opts.checkpoint_prefix = testing::TempDir() + "/swfault_dropout.ckpt";
+  FtSsgdTrainer t(mlp_dropout(kSubBatch), kNodes, solver, opts, /*seed=*/9);
+  std::vector<float> data, labels;
+  int restarts = 0, replays = 0;
+  while (t.iter() < kMaxIter) {
+    const int it = t.iter();
+    det_batch(it, data, labels);
+    const StepResult r = t.step(data, labels);
+    if (r.crashed) {
+      t.restore_latest();
+      ++restarts;
+      continue;
+    }
+    replays += restarts > 0 && it == 2;
+    EXPECT_EQ(r.loss, clean_loss[static_cast<std::size_t>(it)])
+        << "iteration " << it << (restarts > 0 && it == 2 ? " (replay)" : "");
+  }
+  EXPECT_EQ(restarts, 1);
+  EXPECT_EQ(replays, 1);
   EXPECT_EQ(weights(t.ssgd()), weights(clean.ssgd()));
 }
 

@@ -106,12 +106,12 @@ TEST(NetTest, SameSeedGivesIdenticalInitialization) {
 }
 
 TEST(NetTest, SeededWeightsUnchanged) {
-  // Pins every initial weight at seed 7: the layers draw in spec order,
-  // each weight filler before its bias filler. Any reordered or skipped
-  // draw changes the hash.
+  // Pins every initial weight at seed 7: element e of parameter p of layer
+  // l is drawn from the key (7, fill, l, p) at index e. Any change of the
+  // key layout or of a transform changes the hash.
   const Net net(drawn_mix(), 7);
   EXPECT_EQ(net.param_count(), 4u * 3 * 9 + 4 + 6 * 100 + 6 + 20 * 9 + 20);
-  EXPECT_EQ(fnv1a(packed_bits(net)), 0x17fa3e49ac1c3da1ull);
+  EXPECT_EQ(fnv1a(packed_bits(net)), 0x80f8a387823bfde5ull);
 }
 
 TEST(NetTest, UndrawnNetMatchesAfterCopy) {

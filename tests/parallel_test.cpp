@@ -10,6 +10,7 @@
 #include "base/log.h"
 #include "base/rng.h"
 #include "check/rules.h"
+#include "core/layers.h"
 #include "core/models.h"
 #include "fixtures.h"
 #include "parallel/node_runner.h"
@@ -602,6 +603,35 @@ TEST(SsgdTest, ReplicasStartFromReplicaZerosDraw) {
           << "replica " << r << " with " << threads << " threads";
     }
   }
+}
+
+TEST(SsgdTest, ReplicasDrawTheirOwnDropoutMasks) {
+  // Algorithm 1: every node draws its own dropout masks, keyed by its
+  // replica index and the solver iteration.
+  core::NetSpec spec = mlp(2, 5, 64, 2);
+  spec.layers.insert(spec.layers.begin() + 2,
+                     core::dropout_spec("drop", "h_out", "h_drop", 0.5f));
+  spec.layers[3].bottoms = {"h_drop"};
+  SsgdOptions opt;
+  opt.supernode_size = 2;
+  opt.threads = 2;
+  SsgdTrainer trainer(spec, 2, core::SolverSpec{}, opt, 13);
+  auto mask = [&](int r) {
+    return dynamic_cast<const core::DropoutLayer&>(
+               *trainer.node(r).layer("drop"))
+        .mask();
+  };
+  base::Rng rng(14);
+  std::vector<float> data, labels;
+  random_batch(data, labels, 4, 5, 2, rng);
+  std::vector<std::vector<float>> grads(2);
+  trainer.forward_backward_packed(data, labels, grads);
+  const std::vector<float> first = mask(0);
+  EXPECT_NE(mask(1), first);
+  trainer.allreduce(grads);
+  trainer.apply(grads);
+  trainer.forward_backward_packed(data, labels, grads);
+  EXPECT_NE(mask(0), first) << "iteration 1 draws new masks";
 }
 
 TEST(SsgdTest, ThreadedReplicasBitIdenticalToSerial) {
