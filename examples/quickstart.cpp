@@ -79,7 +79,7 @@ int main() {
   // --- 4. What did the SW26010 auto-tuner pick? ------------------------------
   for (const char* name : {"conv1", "conv2"}) {
     auto* conv = dynamic_cast<core::ConvLayer*>(net.layer(name));
-    std::printf("%s: forward plan = %s, backward plan = %s\n", name,
+    std::printf("%s: SW26010 forward plan = %s, backward plan = %s\n", name,
                 conv->uses_implicit_forward() ? "implicit (swDNN direct)"
                                               : "explicit (im2col + GEMM)",
                 conv->uses_implicit_backward() ? "implicit" : "explicit");

@@ -32,7 +32,8 @@
 // buckets (bit-identical weights for any N; the overlap model prices the
 // hidden communication) and --threads runs the replica forward/backward
 // loop on N host threads (wall-clock only, bit-identical results); both
-// apply to the --faults distributed path, as do --algo (the gradient
+// apply to the --faults distributed path (--threads without --faults is a
+// usage error, exit 2), as do --algo (the gradient
 // all-reduce: rhd-round-robin [default], rhd-adjacent, hierarchical, ring,
 // param-server) and --compress (the gradient codec with error feedback:
 // none [default], fp16, int8 — deterministic, bit-identical across reruns).
@@ -210,6 +211,7 @@ int main(int argc, char** argv) {
   int nodes = 4;
   int buckets = 1;
   int threads = 1;
+  bool have_threads = false;
   topo::AllreduceAlgo algo = topo::AllreduceAlgo::kRhdRoundRobin;
   topo::Compression compress = topo::Compression::kNone;
   int checkpoint_every = 0;
@@ -236,6 +238,7 @@ int main(int argc, char** argv) {
     } else if (cli::flag_number(argc, argv, i, "--nodes", nodes)) {
     } else if (cli::flag_number(argc, argv, i, "--buckets", buckets)) {
     } else if (cli::flag_number(argc, argv, i, "--threads", threads)) {
+      have_threads = true;
     } else if (cli::flag_value(argc, argv, i, "--algo", v)) {
       if (!topo::allreduce_algo_from_name(v.c_str(), &algo)) {
         std::fprintf(stderr,
@@ -259,6 +262,12 @@ int main(int argc, char** argv) {
     } else {
       positional.push_back(argv[i]);
     }
+  }
+  if (have_threads && !have_faults) {
+    std::fprintf(stderr, "--threads sets the host threads of the --faults "
+                         "trainer's replica loop; the single-node trainer "
+                         "has none (add --faults=none)\n");
+    return 2;
   }
   bench::JsonBench bench("swcaffe_train", argc, argv);
 

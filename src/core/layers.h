@@ -11,7 +11,9 @@ namespace swcaffe::core {
 /// Convolution with the two swCaffe execution plans. In kAuto mode the layer
 /// queries the SW26010 cost model at setup and locks the faster plan per
 /// direction — the in-simulator equivalent of the paper's "run the first two
-/// iterations with each strategy and keep the winner" (Sec. VI-A).
+/// iterations with each strategy and keep the winner" (Sec. VI-A). The plan
+/// is what the simulated chip would run; the host computes every pass of
+/// every plan through im2col + GEMM, which gives the implicit loops' bits.
 class ConvLayer : public Layer {
  public:
   explicit ConvLayer(const LayerSpec& spec) : Layer(spec) {}
@@ -24,14 +26,15 @@ class ConvLayer : public Layer {
                 const std::vector<tensor::Tensor*>& bottoms,
                 const std::vector<bool>& prop_down) override;
 
+  /// The SW26010 plan of each direction (what pricing and swtune read);
+  /// neither selects a host code path.
   bool uses_implicit_forward() const { return implicit_fwd_; }
   bool uses_implicit_backward() const { return implicit_bwd_; }
 
   /// Switches the layer onto a tuned strategy assignment (swtune). Must be
   /// called after setup(); requests are clamped by the kernel support
   /// predicates, so an assignment that asks for an unsupported implicit pass
-  /// silently keeps the explicit path. Scratch buffers resize lazily on the
-  /// next forward/backward, so flipping the plan needs no re-setup.
+  /// silently keeps the explicit plan.
   void set_plan(const ConvPlanAssignment& assignment);
 
  private:

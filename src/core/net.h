@@ -92,10 +92,10 @@ class Net {
   std::vector<LayerDesc> describe() const;
 
   /// Switches convolution layers onto tuned strategy assignments (swtune):
-  /// each named conv runs the assigned implicit/explicit path from the next
-  /// forward/backward on. Names not present in the net are ignored (a plan
-  /// cache may carry more layers than this replica instantiates). Returns
-  /// the number of layers switched.
+  /// each named conv reports the assigned implicit/explicit plan (its host
+  /// arithmetic is the same for every plan). Names not present in the net
+  /// are ignored (a plan cache may carry more layers than this replica
+  /// instantiates). Returns the number of layers switched.
   int apply_conv_plans(
       const std::map<std::string, ConvPlanAssignment>& assignments);
 

@@ -34,28 +34,51 @@ float SgdSolver::current_lr() const {
   return spec_.base_lr;
 }
 
+namespace {
+
+/// One parameter's update; element j's gradient is grad_at(j).
+template <class GradAt>
+void update_param(const SolverSpec& spec, float lr, std::span<float> data,
+                  std::vector<float>& hist, GradAt grad_at) {
+  for (std::size_t j = 0; j < data.size(); ++j) {
+    const float g = grad_at(j) + spec.weight_decay * data[j];
+    if (spec.type == SolverType::kSgd) {
+      hist[j] = spec.momentum * hist[j] + lr * g;
+      data[j] -= hist[j];
+    } else {
+      // Nesterov (Caffe semantics): look-ahead correction on the velocity.
+      const float v_prev = hist[j];
+      hist[j] = spec.momentum * hist[j] + lr * g;
+      data[j] -= (1.0f + spec.momentum) * hist[j] - spec.momentum * v_prev;
+    }
+  }
+}
+
+}  // namespace
+
 void SgdSolver::apply_update() {
   const float lr = current_lr();
   auto params = net_->learnable_params();
   SWC_CHECK_EQ(params.size(), history_.size());
   for (std::size_t i = 0; i < params.size(); ++i) {
-    tensor::Tensor& p = *params[i];
-    auto data = p.data();
-    auto diff = p.diff();
-    auto& hist = history_[i];
-    for (std::size_t j = 0; j < data.size(); ++j) {
-      const float g = diff[j] + spec_.weight_decay * data[j];
-      if (spec_.type == SolverType::kSgd) {
-        hist[j] = spec_.momentum * hist[j] + lr * g;
-        data[j] -= hist[j];
-      } else {
-        // Nesterov (Caffe semantics): look-ahead correction on the velocity.
-        const float v_prev = hist[j];
-        hist[j] = spec_.momentum * hist[j] + lr * g;
-        data[j] -= (1.0f + spec_.momentum) * hist[j] -
-                   spec_.momentum * v_prev;
-      }
-    }
+    const auto diff = params[i]->diff();
+    update_param(spec_, lr, params[i]->data(), history_[i],
+                 [&](std::size_t j) { return diff[j]; });
+  }
+  net_->set_iteration(++iter_);
+}
+
+void SgdSolver::apply_update(std::span<const float> grad, float scale) {
+  SWC_CHECK_EQ(grad.size(), net_->param_count());
+  const float lr = current_lr();
+  auto params = net_->learnable_params();
+  SWC_CHECK_EQ(params.size(), history_.size());
+  const float* g = grad.data();
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const auto diff = params[i]->diff();
+    update_param(spec_, lr, params[i]->data(), history_[i],
+                 [&](std::size_t j) { return diff[j] = g[j] * scale; });
+    g += diff.size();
   }
   net_->set_iteration(++iter_);
 }

@@ -4,6 +4,7 @@
 // all-reduce gradients between them (paper Algorithm 1, line 9/10).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,12 @@ class SgdSolver {
   /// restore(), set_state()) is passed to Net::set_iteration, so the net's
   /// dropout masks are those of the solver's iteration.
   void apply_update();
+
+  /// The same update from a packed gradient (Net::pack_param_diffs
+  /// layout): each param's diff becomes grad * scale and is applied in the
+  /// same pass. Bit-identical to scaling `grad`, Net::unpack_param_diffs and
+  /// apply_update(), without the two extra passes over the gradient.
+  void apply_update(std::span<const float> grad, float scale);
 
   float current_lr() const;
   int iter() const { return iter_; }

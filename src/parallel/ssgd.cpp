@@ -314,7 +314,7 @@ TimedIteration SsgdTrainer::price_iteration(
   return it;
 }
 
-void SsgdTrainer::apply(std::vector<std::vector<float>>& grads) {
+void SsgdTrainer::apply(const std::vector<std::vector<float>>& grads) {
   SWC_CHECK_MSG(!options_.timing_only,
                 "timing-only trainer has no replica tensors; use "
                 "price_iteration()");
@@ -322,11 +322,7 @@ void SsgdTrainer::apply(std::vector<std::vector<float>>& grads) {
   SWC_CHECK_EQ(grads.size(), static_cast<std::size_t>(p));
   const float inv = 1.0f / p;
   // Each body touches only replica r's gradient, net and solver.
-  for_each_replica([&](int r) {
-    for (auto& v : grads[r]) v *= inv;
-    nets_[r]->unpack_param_diffs(grads[r]);
-    solvers_[r]->apply_update();
-  });
+  for_each_replica([&](int r) { solvers_[r]->apply_update(grads[r], inv); });
 }
 
 void SsgdTrainer::apply_aggregate(std::span<const float> grad) {
@@ -334,10 +330,8 @@ void SsgdTrainer::apply_aggregate(std::span<const float> grad) {
                 "timing-only trainer has no replica tensors; use "
                 "price_iteration()");
   SWC_CHECK_EQ(grad.size(), nets_[0]->param_count());
-  for_each_replica([&](int r) {
-    nets_[r]->unpack_param_diffs(grad);
-    solvers_[r]->apply_update();
-  });
+  // grad * 1.0f is grad: the diffs are the aggregate verbatim.
+  for_each_replica([&](int r) { solvers_[r]->apply_update(grad, 1.0f); });
 }
 
 void SsgdTrainer::for_each_replica(const std::function<void(int)>& body) {

@@ -112,8 +112,10 @@ class SsgdTrainer {
   const topo::CostBreakdown& allreduce_bucket(
       std::vector<std::vector<float>>& grads, int b);
 
-  /// Scales (when averaging), unpacks and applies the SGD update per node.
-  void apply(std::vector<std::vector<float>>& grads);
+  /// Applies node r's SGD update from grads[r] * (1 / num_nodes()) in one
+  /// fused pass per parameter; the averaged gradient lands in the param
+  /// diffs and `grads` is left as it was.
+  void apply(const std::vector<std::vector<float>>& grads);
 
   /// Applies one already-combined gradient verbatim to every node (the
   /// bounded-staleness path, where aggregation happened upstream).

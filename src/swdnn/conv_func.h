@@ -3,9 +3,12 @@
 // The explicit plan is im2col + GEMM (original Caffe, Sec. IV-B1); the
 // implicit plan computes the same convolution with direct blocked loops (the
 // swDNN kernel of Sec. IV-B2 — on real hardware it runs in the (R,C,N,B)
-// layout; functionally the schedules are equivalent, which the tests
-// assert). Both paths compute identical results; the conv layer auto-tuner
-// picks between them using the conv_plan cost model.
+// layout). For finite weights the two forwards are bit-identical: each
+// output sums its (c, kh, kw) products in ascending order from +0, both skip
+// zero weights, and the explicit path's padded columns only add ±0 to a sum
+// that cannot be -0. The conv layer therefore runs the faster explicit
+// kernel for every plan; the tuner's choice only prices the simulated chip,
+// and the direct loops stay as the reference the tests compare against.
 #pragma once
 
 #include "core/layer_desc.h"
