@@ -32,11 +32,14 @@
 // buckets (bit-identical weights for any N; the overlap model prices the
 // hidden communication) and --threads runs the replica forward/backward
 // loop on N host threads (wall-clock only, bit-identical results); both
-// apply to the --faults distributed path (--threads without --faults is a
-// usage error, exit 2), as do --algo (the gradient
+// apply to the --faults distributed path, as do --algo (the gradient
 // all-reduce: rhd-round-robin [default], rhd-adjacent, hierarchical, ring,
 // param-server) and --compress (the gradient codec with error feedback:
 // none [default], fp16, int8 — deterministic, bit-identical across reruns).
+// The single-node trainer reads none of these flags: without --faults,
+// --threads, --seed and --checkpoint-* are usage errors (exit 2), and so are
+// --nodes, --buckets, --algo and --compress unless --timing-only prices
+// with them.
 //
 // --timing-only prices ONE SSGD iteration on the swsim fast path instead of
 // training: a single prototype replica is built, its weights never drawn
@@ -217,6 +220,10 @@ int main(int argc, char** argv) {
   int checkpoint_every = 0;
   std::string checkpoint_prefix = "swcaffe_train.ckpt";
   bool timing_only = false;
+  // The last flag seen that only the --faults trainer reads, and the last
+  // one that --timing-only pricing reads too.
+  const char* faults_flag = nullptr;
+  const char* ssgd_flag = nullptr;
   std::vector<char*> positional;
   for (int i = 1; i < argc; ++i) {
     std::string v;
@@ -235,11 +242,15 @@ int main(int argc, char** argv) {
       have_faults = true;
     } else if (cli::flag_number(argc, argv, i, "--seed", seed)) {
       have_seed = true;
+      faults_flag = "--seed";
     } else if (cli::flag_number(argc, argv, i, "--nodes", nodes)) {
+      ssgd_flag = "--nodes";
     } else if (cli::flag_number(argc, argv, i, "--buckets", buckets)) {
+      ssgd_flag = "--buckets";
     } else if (cli::flag_number(argc, argv, i, "--threads", threads)) {
       have_threads = true;
     } else if (cli::flag_value(argc, argv, i, "--algo", v)) {
+      ssgd_flag = "--algo";
       if (!topo::allreduce_algo_from_name(v.c_str(), &algo)) {
         std::fprintf(stderr,
                      "unknown --algo '%s' (rhd-adjacent, rhd-round-robin, "
@@ -248,6 +259,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (cli::flag_value(argc, argv, i, "--compress", v)) {
+      ssgd_flag = "--compress";
       if (!topo::compression_from_name(v.c_str(), &compress)) {
         std::fprintf(stderr, "unknown --compress '%s' (none, fp16, int8)\n",
                      v.c_str());
@@ -255,8 +267,10 @@ int main(int argc, char** argv) {
       }
     } else if (cli::flag_number(argc, argv, i, "--checkpoint-every",
                                 checkpoint_every)) {
+      faults_flag = "--checkpoint-every";
     } else if (cli::flag_value(argc, argv, i, "--checkpoint-prefix", v)) {
       checkpoint_prefix = v;
+      faults_flag = "--checkpoint-prefix";
     } else if (cli::flag_value(argc, argv, i, "--json", v)) {
       // Value re-parsed by JsonBench; consumed here so it isn't positional.
     } else {
@@ -267,6 +281,20 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--threads sets the host threads of the --faults "
                          "trainer's replica loop; the single-node trainer "
                          "has none (add --faults=none)\n");
+    return 2;
+  }
+  if (!have_faults && faults_flag) {
+    std::fprintf(stderr, "%s configures the --faults trainer only; the "
+                         "single-node trainer and --timing-only have no use "
+                         "for it (add --faults=none)\n",
+                 faults_flag);
+    return 2;
+  }
+  if (!have_faults && !timing_only && ssgd_flag) {
+    std::fprintf(stderr, "%s configures the --faults trainer and "
+                         "--timing-only pricing; the single-node trainer has "
+                         "none (add --faults=none or --timing-only)\n",
+                 ssgd_flag);
     return 2;
   }
   bench::JsonBench bench("swcaffe_train", argc, argv);

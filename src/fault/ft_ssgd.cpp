@@ -161,7 +161,9 @@ StepResult FtSsgdTrainer::step(std::span<const float> data,
     }
   }
 
-  std::vector<std::vector<float>> grads(p);
+  // The packed gradients live across steps: sized once, then overwritten.
+  grads_.resize(static_cast<std::size_t>(p));
+  std::vector<std::vector<float>>& grads = grads_;
   res.loss = ssgd_.forward_backward_packed(data, labels, grads);
   const std::size_t n = grads[0].size();
 

@@ -102,6 +102,8 @@ class FtSsgdTrainer {
   parallel::SsgdTrainer ssgd_;
   FaultInjector injector_;
   std::vector<float> stale_sum_;  ///< summed late gradients, one iter old
+  /// step()'s packed per-node gradients, reused across steps.
+  std::vector<std::vector<float>> grads_;
   int stale_count_ = 0;
   Checkpoint initial_;            ///< pre-training state (restart fallback)
   std::string last_checkpoint_;

@@ -9,6 +9,7 @@
 #include "parallel/sweep.h"
 #include "sim/event.h"
 #include "swdnn/layer_estimate.h"
+#include "topo/collective.h"
 #include "topo/hierarchical.h"
 
 namespace swcaffe::parallel {
@@ -22,9 +23,6 @@ SsgdTrainer::SsgdTrainer(const core::NetSpec& spec, int num_nodes,
   SWC_CHECK_GT(options.threads, 0);
   topo_.num_nodes = num_nodes;
   topo_.supernode_size = options.supernode_size;
-  // Topology placement depends only on the configured algorithm; computed
-  // once here and reused by every allreduce() call.
-  placement_ = topo::placement_for(options_.algo);
   if (options_.threads > 1 && !options_.timing_only) {
     pool_ = std::make_unique<sim::ThreadPool>(
         std::min(options_.threads, num_nodes));
@@ -169,10 +167,10 @@ SsgdTrainer::SsgdTrainer(const core::NetSpec& spec, int num_nodes,
 
 double SsgdTrainer::step(std::span<const float> data,
                          std::span<const float> labels) {
-  std::vector<std::vector<float>> grads(num_nodes());
-  const double loss = forward_backward_packed(data, labels, grads);
-  allreduce(grads);
-  apply(grads);
+  grads_.resize(static_cast<std::size_t>(num_nodes()));
+  const double loss = forward_backward_packed(data, labels, grads_);
+  allreduce(grads_);
+  apply(grads_);
   return loss;
 }
 
@@ -245,34 +243,25 @@ const topo::CostBreakdown& SsgdTrainer::allreduce_bucket(
   // bucket's error-feedback residual folded in) BEFORE the collective, and
   // the collective then reduces the decoded floats. The summation tree —
   // and therefore bitwise determinism — is exactly the uncompressed
-  // algorithm's; only the wire pricing changes below.
+  // algorithm's; only the wire pricing changes. Codec and collective run
+  // block-parallel on the replica pool, bit-identical to serial.
   const topo::Compression comp = options_.compression;
   if (comp != topo::Compression::kNone) {
+    std::vector<std::span<float>> residuals;
+    residuals.reserve(p);
     for (int r = 0; r < p; ++r) {
-      auto res = std::span<float>(residual_[r]).subspan(offset, count);
-      topo::ef_encode(comp, slices[r], res);
+      residuals.push_back(
+          std::span<float>(residual_[r]).subspan(offset, count));
     }
+    topo::ef_encode(comp, slices, residuals, pool_.get());
   }
+  topo::run_schedule(topo::collective_schedule(options_.algo, topo_, count),
+                     slices, pool_.get());
 
-  // The functional collective prices the RAW bytes it actually moves; with
-  // compression that breakdown is replaced by the wire-byte pricing.
+  // The analytic price of the wire bytes (uncompressed, what the functional
+  // topo::allreduce_* variants return for the same elements).
   topo::CostBreakdown& slot = last_comm_buckets_[b];
-  switch (options_.algo) {
-    case AllreduceAlgo::kRhdAdjacent:
-    case AllreduceAlgo::kRhdRoundRobin:
-      slot = topo::allreduce_rhd(slices, topo_, net_, placement_);
-      break;
-    case AllreduceAlgo::kRing:
-      slot = topo::allreduce_ring(slices, topo_, net_, placement_);
-      break;
-    case AllreduceAlgo::kParamServer:
-      slot = topo::allreduce_param_server(slices, topo_, net_, /*servers=*/1);
-      break;
-    case AllreduceAlgo::kHierarchical:
-      slot = topo::allreduce_hierarchical(slices, topo_, net_);
-      break;
-  }
-  if (comp != topo::Compression::kNone) slot = bucket_cost(buckets_[b].bytes);
+  slot = bucket_cost(buckets_[b].bytes);
   topo::trace_allreduce(tracer_, trace_track_,
                         topo::allreduce_span_name(options_.algo), slot);
   // Iteration totals: every bucket's collective is identical across
@@ -296,8 +285,7 @@ TimedIteration SsgdTrainer::price_iteration(
   // Per-bucket totals accumulate in layer order — the same order
   // allreduce_bucket() sums last_comm_buckets_ — so the serial-model comm
   // equals the functional step()'s last_comm() bit for bit.
-  // bucket_cost is the exact pricing allreduce_bucket() charges (the
-  // functional collectives return the analytic breakdown bit for bit).
+  // bucket_cost is the exact pricing allreduce_bucket() charges.
   for (const auto& b : buckets_) it.comm += bucket_cost(b.bytes);
   sim::EventLog log;
   it.overlap = topo::schedule_overlap(

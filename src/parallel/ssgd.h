@@ -93,7 +93,9 @@ class SsgdTrainer {
   // fault-tolerant trainer interposes recovery between them) ----------------
 
   /// Forward/backward on every replica; packs each node's gradients into
-  /// `grads[r]`. Returns the mean loss across nodes.
+  /// `grads[r]` (resized to param_count floats; buffers the caller keeps
+  /// across iterations are reused, not refilled). Returns the mean loss
+  /// across nodes.
   double forward_backward_packed(std::span<const float> data,
                                  std::span<const float> labels,
                                  std::vector<std::vector<float>>& grads);
@@ -168,9 +170,6 @@ class SsgdTrainer {
   SsgdOptions options_;
   topo::NetParams net_ = topo::sunway_network();
   topo::Topology topo_;
-  /// Topology placement of the configured algorithm; computed once here
-  /// instead of per allreduce() call.
-  topo::Placement placement_ = topo::Placement::kRoundRobin;
   std::vector<std::unique_ptr<core::Net>> nets_;
   std::vector<std::unique_ptr<core::SgdSolver>> solvers_;
   std::vector<topo::GradientBucket> buckets_;
@@ -182,6 +181,9 @@ class SsgdTrainer {
   /// when compression is kNone. Residuals persist across iterations — the
   /// carry is what bounds the accumulated quantization drift.
   std::vector<std::vector<float>> residual_;
+  /// step()'s packed per-node gradients, sized on the first step and
+  /// reused by every later one.
+  std::vector<std::vector<float>> grads_;
   trace::Tracer* tracer_ = nullptr;
   int trace_track_ = 0;
 

@@ -5,6 +5,7 @@
 #include <string_view>
 
 #include "base/log.h"
+#include "topo/collective.h"
 
 namespace swcaffe::topo {
 
@@ -226,73 +227,7 @@ CostBreakdown allreduce_rhd(const std::vector<std::span<float>>& data,
   const std::size_t n = data[0].size();
   for (const auto& v : data) SWC_CHECK_EQ(v.size(), n);
   if (p == 1) return CostBreakdown{};
-
-  // Non-power-of-2 handling (Thakur et al. Sec. 4): the first 2*extra ranks
-  // pair up; each odd rank folds its vector into the even neighbour and sits
-  // out of the core algorithm, receiving the final result afterwards.
-  const int p2 = pow2_floor(p);
-  const int extra = p - p2;
-  std::vector<int> ids;  // participant rank of core-algorithm slot j
-  ids.reserve(p2);
-  for (int i = 0; i < extra; ++i) {
-    for (std::size_t j = 0; j < n; ++j) data[2 * i][j] += data[2 * i + 1][j];
-    ids.push_back(2 * i);
-  }
-  for (int r = 2 * extra; r < p; ++r) ids.push_back(r);
-  SWC_CHECK_EQ(ids.size(), static_cast<std::size_t>(p2));
-
-  const int steps = log2i(p2);
-  std::vector<std::size_t> lo(p2, 0), hi(p2, n);
-
-  // --- Reduce-scatter (recursive halving) ----------------------------------
-  for (int s = 0; s < steps; ++s) {
-    const int d = p2 >> (s + 1);
-    for (int r = 0; r < p2; ++r) {
-      const int partner = r ^ d;
-      if (partner < r) continue;  // handle each pair once
-      SWC_CHECK_EQ(lo[r], lo[partner]);
-      SWC_CHECK_EQ(hi[r], hi[partner]);
-      const std::size_t mid = (lo[r] + hi[r]) / 2;
-      const auto& mine = data[ids[r]];
-      const auto& theirs = data[ids[partner]];
-      // Lower slot keeps [lo, mid) and receives the partner's copy of it;
-      // the partner keeps [mid, hi) and receives the lower slot's copy.
-      for (std::size_t i = lo[r]; i < mid; ++i) mine[i] += theirs[i];
-      for (std::size_t i = mid; i < hi[r]; ++i) theirs[i] += mine[i];
-      hi[r] = mid;
-      lo[partner] = mid;
-    }
-  }
-
-  // --- Allgather (recursive doubling, reversed halving order) ---------------
-  for (int s = steps - 1; s >= 0; --s) {
-    const int d = p2 >> (s + 1);
-    for (int r = 0; r < p2; ++r) {
-      const int partner = r ^ d;
-      if (partner < r) continue;
-      const auto& mine = data[ids[r]];
-      const auto& theirs = data[ids[partner]];
-      // The pair's ranges are the two halves they split at forward step s.
-      for (std::size_t i = lo[partner]; i < hi[partner]; ++i) {
-        mine[i] = theirs[i];
-      }
-      for (std::size_t i = lo[r]; i < hi[r]; ++i) {
-        theirs[i] = mine[i];
-      }
-      const std::size_t new_lo = std::min(lo[r], lo[partner]);
-      const std::size_t new_hi = std::max(hi[r], hi[partner]);
-      lo[r] = lo[partner] = new_lo;
-      hi[r] = hi[partner] = new_hi;
-    }
-  }
-  for (int r = 0; r < p2; ++r) {
-    SWC_CHECK_EQ(lo[r], 0u);
-    SWC_CHECK_EQ(hi[r], n);
-  }
-  // Unfold: the sidelined odd ranks receive the finished result.
-  for (int i = 0; i < extra; ++i) {
-    std::copy(data[2 * i].begin(), data[2 * i].end(), data[2 * i + 1].begin());
-  }
+  run_schedule(rhd_schedule(p, n), data);
   return cost_rhd(static_cast<std::int64_t>(n) * 4, topo, net, placement);
 }
 
@@ -331,43 +266,7 @@ CostBreakdown allreduce_ring(const std::vector<std::span<float>>& data,
   SWC_CHECK_EQ(p, topo.num_nodes);
   const std::size_t n = data[0].size();
   if (p == 1) return CostBreakdown{};
-  auto block_lo = [&](int b) { return n * b / p; };
-  auto block_hi = [&](int b) { return n * (b + 1) / p; };
-
-  // Reduce-scatter ring: after p-1 steps rank r owns the sum of block
-  // (r+1) % p.
-  for (int s = 0; s < p - 1; ++s) {
-    // Perform all receives "simultaneously": snapshot the sent blocks.
-    std::vector<std::vector<float>> staged(p);
-    for (int r = 0; r < p; ++r) {
-      const int b = (r - s + p) % p;
-      staged[r].assign(data[r].begin() + block_lo(b),
-                       data[r].begin() + block_hi(b));
-    }
-    for (int r = 0; r < p; ++r) {
-      const int src = (r - 1 + p) % p;
-      const int b = (src - s + p) % p;
-      const std::size_t lo = block_lo(b);
-      for (std::size_t i = 0; i < staged[src].size(); ++i) {
-        data[r][lo + i] += staged[src][i];
-      }
-    }
-  }
-  // Allgather ring: rank r starts by sending its owned block (r+1) % p.
-  for (int s = 0; s < p - 1; ++s) {
-    std::vector<std::vector<float>> staged(p);
-    for (int r = 0; r < p; ++r) {
-      const int b = (r + 1 - s + p) % p;
-      staged[r].assign(data[r].begin() + block_lo(b),
-                       data[r].begin() + block_hi(b));
-    }
-    for (int r = 0; r < p; ++r) {
-      const int src = (r - 1 + p) % p;
-      const int b = (src + 1 - s + p) % p;
-      std::copy(staged[src].begin(), staged[src].end(),
-                data[r].begin() + block_lo(b));
-    }
-  }
+  run_schedule(ring_schedule(p, n), data);
   return cost_ring(static_cast<std::int64_t>(n) * 4, topo, net, placement);
 }
 
@@ -405,11 +304,7 @@ CostBreakdown allreduce_param_server(const std::vector<std::span<float>>& data,
   const int p = static_cast<int>(data.size());
   SWC_CHECK_EQ(p, topo.num_nodes);
   const std::size_t n = data[0].size();
-  std::vector<float> sum(n, 0.0f);
-  for (const auto& v : data) {
-    for (std::size_t i = 0; i < n; ++i) sum[i] += v[i];
-  }
-  for (const auto& v : data) std::copy(sum.begin(), sum.end(), v.begin());
+  run_schedule(param_server_schedule(p, n), data);
   return cost_param_server(static_cast<std::int64_t>(n) * 4, topo, net,
                            servers);
 }

@@ -1,10 +1,14 @@
 #include "topo/compress.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <string_view>
 
 #include "base/log.h"
+#include "topo/collective.h"
 #include "topo/hierarchical.h"
 
 namespace swcaffe::topo {
@@ -102,17 +106,30 @@ float int8_scale(std::span<const float> values) {
   return max_abs / 127.0f;
 }
 
-/// Quantize one value at `scale`: nearest signed step, half-way cases away
-/// from the implementation-defined FP rounding mode (floor(t + 0.5) in
-/// double — fully deterministic, no fesetround dependence).
+/// Quantize one value at `scale`: nearest signed step, half-way cases
+/// rounded up, floor(t + 0.5) in double with t = v / scale, clamped to
+/// +-127. The floor is exact without libm: for |u| < 2^51, u + 1.5 * 2^52
+/// has unit spacing, so subtracting the constant again leaves u rounded to
+/// an integer, which is one too high exactly when it exceeds u. Larger |u|
+/// (and +-inf) stay beyond +-127 and clamp as before; a NaN passes through
+/// every step as the NaN floor would return. Branch-free, so the passes
+/// vectorize.
 float int8_round_trip(float v, float scale) {
   if (scale <= 0.0f) return 0.0f;
-  const double t = static_cast<double>(v) / static_cast<double>(scale);
-  double q = std::floor(t + 0.5);
-  if (q > 127.0) q = 127.0;
-  if (q < -127.0) q = -127.0;
-  return static_cast<float>(q) * scale;
+  constexpr double kRound = 6755399441055744.0;  // 1.5 * 2^52
+  const double u = static_cast<double>(v) / static_cast<double>(scale) + 0.5;
+  const double r = (u + kRound) - kRound;
+  const double q = r - (r > u ? 1.0 : 0.0);
+  return static_cast<float>(std::min(std::max(q, -127.0), 127.0)) * scale;
 }
+
+/// The tasks of a multi-rank codec pass: kCollectiveBlock-float blocks of
+/// every rank's slice, rank-major.
+struct CodecBlock {
+  int rank = 0;
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+};
 
 }  // namespace
 
@@ -133,13 +150,91 @@ void codec_round_trip(Compression c, std::span<float> values) {
 
 void ef_encode(Compression c, std::span<float> grad,
                std::span<float> residual) {
-  SWC_CHECK_EQ(grad.size(), residual.size());
+  ef_encode(c, std::vector<std::span<float>>{grad},
+            std::vector<std::span<float>>{residual});
+}
+
+void ef_encode(Compression c, const std::vector<std::span<float>>& grads,
+               const std::vector<std::span<float>>& residuals,
+               sim::ThreadPool* pool) {
+  SWC_CHECK_EQ(grads.size(), residuals.size());
+  for (std::size_t r = 0; r < grads.size(); ++r) {
+    SWC_CHECK_EQ(grads[r].size(), residuals[r].size());
+  }
   if (c == Compression::kNone) return;
-  // v = grad + residual; grad := decode(encode(v)); residual := v - grad.
-  for (std::size_t i = 0; i < grad.size(); ++i) grad[i] += residual[i];
-  for (std::size_t i = 0; i < grad.size(); ++i) residual[i] = grad[i];
-  codec_round_trip(c, grad);
-  for (std::size_t i = 0; i < grad.size(); ++i) residual[i] -= grad[i];
+  std::vector<CodecBlock> blocks;
+  for (std::size_t r = 0; r < grads.size(); ++r) {
+    for (std::size_t lo = 0; lo < grads[r].size(); lo += kCollectiveBlock) {
+      blocks.push_back({static_cast<int>(r), lo,
+                        std::min(grads[r].size(), lo + kCollectiveBlock)});
+    }
+  }
+  if (blocks.empty()) return;
+  SWC_CHECK_LE(blocks.size(), static_cast<std::size_t>(INT32_MAX));
+  const auto run = [&](const std::function<void(int)>& pass) {
+    if (pool) {
+      pool->parallel_for(0, static_cast<int>(blocks.size()), pass);
+    } else {
+      for (std::size_t t = 0; t < blocks.size(); ++t) {
+        pass(static_cast<int>(t));
+      }
+    }
+  };
+  // Per element: v = grad + residual; grad := decode(encode(v));
+  // residual := v - grad — the float operations of encoding each slice with
+  // codec_round_trip, fused into passes over cache-sized blocks.
+  if (c == Compression::kFp16) {
+    run([&](int t) {
+      const CodecBlock& b = blocks[t];
+      float* g = grads[b.rank].data();
+      float* res = residuals[b.rank].data();
+      for (std::size_t i = b.lo; i < b.hi; ++i) {
+        const float v = g[i] + res[i];
+        const float q = half_to_float(float_to_half(v));
+        res[i] = v - q;
+        g[i] = q;
+      }
+    });
+    return;
+  }
+  // int8 needs the slice's max|v| before any element is encoded: pass 1
+  // stores v and each block's max, pass 2 encodes at the rank's scale. A
+  // max does not depend on the order its inputs are combined in.
+  std::vector<float> block_max(blocks.size(), 0.0f);
+  run([&](int t) {
+    const CodecBlock& b = blocks[t];
+    float* g = grads[b.rank].data();
+    const float* res = residuals[b.rank].data();
+    // max|v| over the bits: a non-NaN |v| orders like its bit pattern read
+    // as an integer (an integer max vectorizes where a float max does not),
+    // and a NaN counts as 0 — in float it never compares greater either.
+    std::int32_t max_bits = 0;
+    for (std::size_t i = b.lo; i < b.hi; ++i) {
+      const float v = g[i] + res[i];
+      g[i] = v;
+      const std::int32_t a = std::bit_cast<std::int32_t>(v) & 0x7fffffff;
+      max_bits = std::max(max_bits, a > 0x7f800000 ? 0 : a);
+    }
+    block_max[t] = std::bit_cast<float>(max_bits);
+  });
+  std::vector<float> scale(grads.size(), 0.0f);
+  for (std::size_t t = 0; t < blocks.size(); ++t) {
+    float& m = scale[blocks[t].rank];
+    if (block_max[t] > m) m = block_max[t];
+  }
+  for (float& s : scale) s /= 127.0f;
+  run([&](int t) {
+    const CodecBlock& b = blocks[t];
+    const float s = scale[b.rank];
+    float* g = grads[b.rank].data();
+    float* res = residuals[b.rank].data();
+    for (std::size_t i = b.lo; i < b.hi; ++i) {
+      const float v = g[i];
+      const float q = int8_round_trip(v, s);
+      res[i] = v - q;
+      g[i] = q;
+    }
+  });
 }
 
 double codec_seconds(Compression c, std::int64_t raw_bytes,

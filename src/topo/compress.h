@@ -32,7 +32,9 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
+#include "sim/thread_pool.h"
 #include "topo/allreduce.h"
 #include "topo/network_model.h"
 
@@ -80,6 +82,13 @@ void codec_round_trip(Compression c, std::span<float> values);
 /// bit-identical outputs.
 void ef_encode(Compression c, std::span<float> grad,
                std::span<float> residual);
+
+/// ef_encode of every rank's (grads[r], residuals[r]) pair, each with its
+/// own int8 scale: bit-identical to calling the single-slice form per rank.
+/// Runs on `pool` across ranks x kCollectiveBlock-float blocks when given.
+void ef_encode(Compression c, const std::vector<std::span<float>>& grads,
+               const std::vector<std::span<float>>& residuals,
+               sim::ThreadPool* pool = nullptr);
 
 /// Simulated-time cost of the codec passes for one message: encode at the
 /// source plus decode at the sink, each streaming `raw_bytes` through the

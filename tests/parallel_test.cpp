@@ -664,6 +664,42 @@ TEST(SsgdTest, ThreadedReplicasBitIdenticalToSerial) {
   EXPECT_EQ(threaded_losses, serial_losses);
 }
 
+TEST(SsgdTest, PooledCodecAndCollectiveBitIdenticalToSerial) {
+  // The error-feedback codec and the collective run block-parallel on the
+  // replica pool. fc1's bucket spans three executor blocks, so the blocks
+  // really spread over the lanes; the residual carries across steps.
+  const int nodes = 4, sub_batch = 2, dim = 64, classes = 2;
+  const core::NetSpec spec = mlp(sub_batch, dim, 512, classes);
+  for (const auto algo :
+       {AllreduceAlgo::kHierarchical, AllreduceAlgo::kRhdRoundRobin}) {
+    for (const auto codec : {topo::Compression::kInt8,
+                             topo::Compression::kFp16}) {
+      auto train = [&](int threads, std::vector<double>& losses) {
+        SsgdOptions opt;
+        opt.algo = algo;
+        opt.compression = codec;
+        opt.supernode_size = 2;
+        opt.buckets = 2;
+        opt.threads = threads;
+        SsgdTrainer trainer(spec, nodes, core::SolverSpec{}, opt, 31);
+        base::Rng rng(32);
+        std::vector<float> data, labels;
+        for (int it = 0; it < 3; ++it) {
+          random_batch(data, labels, nodes * sub_batch, dim, classes, rng);
+          losses.push_back(trainer.step(data, labels));
+        }
+        return fixtures::packed_bits(trainer.node(0));
+      };
+      std::vector<double> serial_losses, pooled_losses;
+      const auto serial = train(1, serial_losses);
+      EXPECT_EQ(train(4, pooled_losses), serial)
+          << topo::allreduce_algo_name(algo) << " "
+          << topo::compression_name(codec);
+      EXPECT_EQ(pooled_losses, serial_losses);
+    }
+  }
+}
+
 TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
   sim::ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(100);
