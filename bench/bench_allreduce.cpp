@@ -8,6 +8,7 @@
 //    functionally at small scale.
 #include <cstdio>
 #include <iostream>
+#include <span>
 #include <vector>
 
 #include "base/rng.h"
@@ -15,6 +16,7 @@
 #include "base/units.h"
 #include "bench_json.h"
 #include "topo/allreduce.h"
+#include "topo/collective.h"
 
 using namespace swcaffe;
 using base::TablePrinter;
@@ -63,8 +65,10 @@ int main(int argc, char** argv) {
     for (const auto& v : data) {
       for (std::size_t i = 0; i < expected.size(); ++i) expected[i] += v[i];
     }
+    const std::vector<std::span<float>> spans(data.begin(), data.end());
+    topo::run_schedule(topo::rhd_schedule(16, 1000), spans);
     const auto c =
-        topo::allreduce_rhd(data, topo, net, topo::Placement::kRoundRobin);
+        topo::cost_rhd(1000 * 4, topo, net, topo::Placement::kRoundRobin);
     double max_err = 0.0;
     for (const auto& v : data) {
       for (std::size_t i = 0; i < expected.size(); ++i) {

@@ -27,6 +27,7 @@
 
 #include "cli_flags.h"
 #include "base/log.h"
+#include "check/plan_model.h"
 #include "check/timeline.h"
 #include "check/timeline_extract.h"
 #include "check/timeline_io.h"
@@ -43,6 +44,7 @@
 #include "serve/engine.h"
 #include "swdnn/layer_estimate.h"
 #include "topo/allreduce.h"
+#include "topo/collective.h"
 #include "topo/overlap.h"
 
 using namespace swcaffe;
@@ -130,6 +132,8 @@ void print_codes() {
       Code::kImplicitDegraded, Code::kPlanInconsistent, Code::kGeomInvalid,
       Code::kRetryBufferOverflow, Code::kRetryTimeout,
       Code::kBucketOrder,      Code::kBucketResendOverflow,
+      Code::kCommCompressCombo, Code::kCommCompressBytes,
+      Code::kCollectivePort,
       Code::kTimelineOverlap,  Code::kTimelineRace,    Code::kTimelineBytes,
       Code::kTimelineCausality, Code::kTimelineDeadline, Code::kTimelineCycle,
       Code::kTimelineGang,
@@ -153,6 +157,9 @@ void print_codes() {
       "retry ladder cannot finish before the escalation timeout",
       "all-reduce buckets do not tile the layers in order / lose bytes",
       "a bucket's buffered round exceeds the resend buffer / LDM",
+      "int8 over ring/param-server would re-quantize every hop",
+      "claimed wire bytes break codec conservation",
+      "a rank sends or receives twice in one all-reduce round",
       "two intervals double-book one exclusive timeline resource",
       "conflicting state accesses with no happens-before path",
       "timeline events lose or invent cost-ledger bytes",
@@ -237,10 +244,10 @@ std::vector<check::TimelineGraph> build_live_timelines(
   {
     const std::vector<topo::GradientBucket> buckets =
         topo::make_buckets(layer_bytes, 4);
-    std::vector<check::CommSchedule> phases;
-    for (std::size_t b = 0; b < buckets.size(); ++b) {
-      phases.push_back(check::rhd_allreduce_schedule(nodes));
-    }
+    const check::CommSchedule rhd = check::comm_schedule(
+        topo::rhd_schedule(nodes, static_cast<std::size_t>(nodes)),
+        "allreduce.rhd");
+    const std::vector<check::CommSchedule> phases(buckets.size(), rhd);
     graphs.push_back(
         check::timeline_from_comm(label + " rhd x" +
                                       std::to_string(buckets.size()) +
@@ -493,15 +500,19 @@ int main(int argc, char** argv) {
                        core::describe_net_spec(spec)});
   }
 
+  // Every distinct executed all-reduce schedule over --nodes (the two RHD
+  // placements run one schedule), verified once and charged to each config.
+  check::Report allreduce_report;
+  if (nodes > 0) {
+    for (topo::AllreduceAlgo algo : topo::kAllreduceAlgos) {
+      if (algo == topo::AllreduceAlgo::kRhdAdjacent) continue;
+      allreduce_report.merge(check::verify_allreduce(algo, nodes, opts));
+    }
+  }
   int errors = 0, warnings = 0;
   for (const NamedConfig& config : configs) {
     check::Report report = check::verify_net(cost, config.descs, opts);
-    if (nodes > 0) {
-      report.merge(check::verify_allreduce(
-          topo::AllreduceAlgo::kRhdRoundRobin, nodes, opts));
-      report.merge(
-          check::verify_allreduce(topo::AllreduceAlgo::kRing, nodes, opts));
-    }
+    report.merge(allreduce_report);
     errors += report.error_count();
     warnings += report.warning_count();
     if (!quiet && !report.empty()) report.print(std::cout);

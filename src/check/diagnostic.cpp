@@ -60,6 +60,8 @@ const char* code_name(Code c) {
       return "comm-compress-combo";
     case Code::kCommCompressBytes:
       return "comm-compress-bytes";
+    case Code::kCollectivePort:
+      return "collective-port";
     case Code::kTimelineOverlap:
       return "timeline-overlap";
     case Code::kTimelineRace:

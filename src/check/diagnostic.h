@@ -52,6 +52,7 @@ enum class Code {
   // --- Communication configs (topo hierarchy + compression) ----------------
   kCommCompressCombo,  ///< unsupported algorithm x compression combination
   kCommCompressBytes,  ///< claimed wire bytes break codec conservation
+  kCollectivePort,     ///< a rank sends or receives twice in one round
   // --- Whole-timeline schedules (swsched, check/timeline) ------------------
   kTimelineOverlap,   ///< two intervals double-book one exclusive resource
   kTimelineRace,      ///< conflicting state accesses with no happens-before

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "swgemm/estimate.h"
 #include "swgemm/mesh_gemm.h"
@@ -22,15 +23,6 @@ std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; 
 void push(CommSchedule& sched, CommOp::Kind kind, int row, int col,
           int peer_row = -1, int peer_col = -1) {
   sched.ops.push_back({kind, row, col, peer_row, peer_col, kNominalBytes});
-}
-
-// Cluster schedules: rank r executes at (r, 0) and receives on the row bus.
-void send(CommSchedule& sched, int from, int to) {
-  push(sched, CommOp::Kind::kSend, from, 0, to, 0);
-}
-
-void recv(CommSchedule& sched, int at) {
-  push(sched, CommOp::Kind::kRecvRow, at, 0);
 }
 
 }  // namespace
@@ -397,99 +389,38 @@ DmaPlan transform_dma_plan(std::int64_t count, int inner_run) {
 
 // --- topo all-reduce ---------------------------------------------------------
 
-namespace {
-
-constexpr auto kSelf = [](int r) { return r; };
-
-/// One exchange round over the ranks rank(0 .. count-1): each sends to
-/// rank(partner(k)), then each receives. Sends precede receives, so no
-/// round can deadlock on its own.
-template <typename Rank, typename Partner>
-void exchange_round(CommSchedule& sched, int count, Rank rank,
-                    Partner partner) {
-  for (int k = 0; k < count; ++k) send(sched, rank(k), rank(partner(k)));
-  for (int k = 0; k < count; ++k) recv(sched, rank(k));
-}
-
-/// Appends recursive halving + doubling over `count` participants, rank(k)
-/// naming the k-th: the MPICH fold of the ranks past the power-of-two core
-/// into a core neighbour, the pairwise exchanges with partner k ^ mask
-/// (reduce-scatter halving, then allgather doubling), and the unfold back
-/// to the folded ranks.
-template <typename Rank>
-void append_rhd(CommSchedule& sched, int count, Rank rank) {
-  int rounds = 0;
-  while ((2 << rounds) <= count) ++rounds;  // floor(log2(count))
-  const int core = 1 << rounds;
-  for (int k = core; k < count; ++k) {
-    send(sched, rank(k), rank(k - core));
-    recv(sched, rank(k - core));
-  }
-  for (int phase = 0; phase < 2 * rounds; ++phase) {
-    const int mask = phase < rounds ? (1 << phase)
-                                    : (1 << (2 * rounds - 1 - phase));
-    exchange_round(sched, core, rank, [&](int k) { return k ^ mask; });
-  }
-  for (int k = core; k < count; ++k) {
-    send(sched, rank(k - core), rank(k));
-    recv(sched, rank(k));
-  }
-}
-
-}  // namespace
-
-CommSchedule rhd_allreduce_schedule(int num_nodes) {
+CommSchedule comm_schedule(const topo::RangeSchedule& collective,
+                           std::string name) {
   CommSchedule sched;
-  sched.name = "allreduce_rhd";
+  sched.name = std::move(name);
   sched.mesh = false;
-  append_rhd(sched, num_nodes, kSelf);
-  return sched;
-}
-
-std::vector<CommSchedule> hierarchical_allreduce_phases(int num_nodes,
-                                                        int supernode_size) {
-  const int p = num_nodes;
-  const int q = supernode_size;
-  const int s = p / q;
-  std::vector<CommSchedule> phases(3);
-  int local_rounds = 0;
-  while ((2 << local_rounds) <= q) ++local_rounds;  // log2(q), q power of two
-
-  // Member j of supernode k is rank k + j * s; the local butterfly pairs
-  // member j with j ^ d. Sends precede receives within every round, so each
-  // phase (and the composition) is deadlock-free by construction.
-  const auto local_phase = [&](CommSchedule& sched, bool gather) {
-    sched.mesh = false;
-    for (int t = 0; t < local_rounds; ++t) {
-      const int d = gather ? (1 << t) : (q >> (t + 1));
-      exchange_round(sched, p, kSelf,
-                     [&](int r) { return r % s + ((r / s) ^ d) * s; });
+  // Builders emit concurrent sub-collectives (the hierarchical phase B
+  // chunks) one after another, so one round's ops need not be adjacent.
+  std::vector<const topo::RangeOp*> messages;
+  for (const topo::RangeOp& op : collective.ops) {
+    if (op.src != op.dst) messages.push_back(&op);
+  }
+  std::stable_sort(messages.begin(), messages.end(),
+                   [](const topo::RangeOp* a, const topo::RangeOp* b) {
+                     return a->round < b->round;
+                   });
+  sched.ops.reserve(2 * messages.size());
+  for (std::size_t first = 0, last = 0; first < messages.size();
+       first = last) {
+    while (last < messages.size() &&
+           messages[last]->round == messages[first]->round) {
+      ++last;
     }
-  };
-  phases[0].name = "hier_local_rs";
-  local_phase(phases[0], /*gather=*/false);
-
-  // Inter-supernode RHD per chunk: the s holders of member j's chunk are
-  // ranks k + j * s for k = 0..s-1, running the same fold / butterfly /
-  // unfold structure as the flat schedule over the k index.
-  phases[1].name = "hier_inter_rhd";
-  phases[1].mesh = false;
-  for (int j = 0; j < q; ++j) {
-    append_rhd(phases[1], s, [&](int k) { return k + j * s; });
-  }
-
-  phases[2].name = "hier_local_ag";
-  local_phase(phases[2], /*gather=*/true);
-  return phases;
-}
-
-CommSchedule ring_allreduce_schedule(int num_nodes) {
-  CommSchedule sched;
-  sched.name = "allreduce_ring";
-  sched.mesh = false;
-  const int p = num_nodes;
-  for (int round = 0; round < 2 * (p - 1); ++round) {
-    exchange_round(sched, p, kSelf, [&](int r) { return (r + 1) % p; });
+    for (std::size_t i = first; i < last; ++i) {
+      const topo::RangeOp& op = *messages[i];
+      sched.ops.push_back({CommOp::Kind::kSend, op.src, 0, op.dst, 0,
+                           (op.hi - op.lo) * kElemBytes});
+    }
+    for (std::size_t i = first; i < last; ++i) {
+      const topo::RangeOp& op = *messages[i];
+      sched.ops.push_back({CommOp::Kind::kRecvRow, op.dst, 0, -1, -1,
+                           (op.hi - op.lo) * kElemBytes});
+    }
   }
   return sched;
 }

@@ -8,6 +8,8 @@
 // before a single simulated cycle is spent. Builders mirror the kernels
 // they describe — the agreement is pinned by tests (a plan the checker
 // passes must never throw from Ldm::alloc when the kernel actually runs).
+// The all-reduce schedules are not re-derived at all: comm_schedule reads
+// them off the range-op schedule the trainer executes (topo/collective).
 #pragma once
 
 #include <cstddef>
@@ -19,6 +21,7 @@
 #include "hw/cost_model.h"
 #include "hw/params.h"
 #include "swgemm/estimate.h"
+#include "topo/collective.h"
 
 namespace swcaffe::check {
 
@@ -260,24 +263,14 @@ struct CommPlan {
 
 // --- Builders: topo all-reduce ----------------------------------------------
 
-/// Send/receive schedule of recursive halving + doubling over `num_nodes`
-/// ranks (power-of-two core; the MPICH fold/unfold for ragged counts adds a
-/// pre/post exchange with the neighbour).
-CommSchedule rhd_allreduce_schedule(int num_nodes);
-
-/// Ring all-reduce schedule: 2*(p-1) rounds of send-to-next/recv-from-prev.
-CommSchedule ring_allreduce_schedule(int num_nodes);
-
-/// Phase decomposition of the two-level (supernode-hierarchical) all-reduce,
-/// checked composed by check_schedule over the phase list: [0]
-/// supernode-local reduce-scatter, [1] inter-supernode RHD over each chunk's
-/// holders (MPICH fold/unfold for ragged supernode counts), [2]
-/// supernode-local all-gather. Rank r is member r / s of supernode r % s
-/// (round-robin, s = num_nodes / supernode_size). The caller must pass an
-/// applicable geometry (num_nodes divisible by supernode_size, power-of-two
-/// supernode_size); the runtime falls back to rhd_allreduce_schedule
-/// otherwise.
-std::vector<CommSchedule> hierarchical_allreduce_phases(int num_nodes,
-                                                        int supernode_size);
+/// The cluster send/receive schedule of an executed collective: every op of
+/// `collective` between two different buffers is one message of its
+/// (hi - lo) floats from src to dst, and each round lists all its sends,
+/// then all its receives, so every buffer's program follows the rounds.
+/// Buffer b executes at (b, 0); the parameter server's scratch row is one
+/// more actor. Sends precede receives in every round, so the schedule
+/// cannot deadlock; check_collective adds the per-round port rule.
+CommSchedule comm_schedule(const topo::RangeSchedule& collective,
+                           std::string name);
 
 }  // namespace swcaffe::check

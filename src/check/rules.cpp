@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "base/log.h"
 #include "check/comm_graph.h"
 #include "topo/compress.h"
 
@@ -163,6 +164,49 @@ void check_schedule(const std::vector<CommSchedule>& phases,
                         phase.ops.end());
   }
   check_schedule(composed, hp, opts, layer, report);
+}
+
+void check_collective(const topo::RangeSchedule& collective,
+                      const std::string& name, const Options& opts,
+                      const std::string& layer, Report* report) {
+  const hw::HwParams hp;  // cluster schedules use no mesh geometry
+  check_schedule(comm_schedule(collective, name), hp, opts, layer, report);
+
+  const std::size_t ranks = static_cast<std::size_t>(collective.ranks);
+  int rounds = 0;
+  for (const topo::RangeOp& op : collective.ops) {
+    SWC_CHECK_GE(op.round, 0);
+    rounds = std::max(rounds, op.round + 1);
+  }
+  // busy[2 * (round * ranks + rank) + receiving]: the rank's port is taken.
+  std::vector<bool> busy(2 * ranks * static_cast<std::size_t>(rounds));
+  std::size_t conflicts = 0;
+  std::string first;
+  const auto take = [&](int rank, int round, bool receiving) {
+    if (rank >= collective.ranks) return;  // scratch row
+    auto port = busy[2 * (static_cast<std::size_t>(round) * ranks +
+                          static_cast<std::size_t>(rank)) +
+                     (receiving ? 1 : 0)];
+    if (port && conflicts++ == 0) {
+      first = "rank ";
+      first += std::to_string(rank);
+      first += receiving ? " receives" : " sends";
+      first += " more than one message in round ";
+      first += std::to_string(round);
+    }
+    port = true;
+  };
+  for (const topo::RangeOp& op : collective.ops) {
+    if (op.src == op.dst) continue;
+    take(op.src, op.round, false);
+    take(op.dst, op.round, true);
+  }
+  if (conflicts > 0) {
+    report->add(Code::kCollectivePort, Severity::kError, layer,
+                name + ": " + first + " (" + std::to_string(conflicts) +
+                    " port conflict(s)); a rank sends and receives at most "
+                    "one message per round");
+  }
 }
 
 void check_retry(const RetryPlan& plan, const hw::HwParams& hp,

@@ -5,9 +5,12 @@
 // only, which is what lets the checker run before any simulation starts.
 #pragma once
 
+#include <string>
+
 #include "check/diagnostic.h"
 #include "check/plan_model.h"
 #include "hw/params.h"
+#include "topo/collective.h"
 
 namespace swcaffe::check {
 
@@ -47,6 +50,16 @@ void check_schedule(const CommSchedule& sched, const hw::HwParams& hp,
 void check_schedule(const std::vector<CommSchedule>& phases,
                     const hw::HwParams& hp, const Options& opts,
                     const std::string& layer, Report* report);
+
+/// Executed-collective soundness: the send/receive schedule comm_schedule
+/// derives from `collective` must pass check_schedule, and in every round
+/// each rank may be the source of at most one message and the destination
+/// of at most one — one network port per rank and step (collective-port,
+/// error). Scratch rows (the parameter server's sum) are exempt: their port
+/// bottleneck is priced, not forbidden.
+void check_collective(const topo::RangeSchedule& collective,
+                      const std::string& name, const Options& opts,
+                      const std::string& layer, Report* report);
 
 /// Retry-plan soundness (swfault): the buffered round must fit its resend
 /// buffer, the buffer must fit the CPE scratchpad (retry-buffer-overflow,

@@ -5,6 +5,7 @@
 
 #include "check/plan_model.h"
 #include "swdnn/conv_plan.h"
+#include "topo/collective.h"
 #include "topo/hierarchical.h"
 
 namespace swcaffe::check {
@@ -328,52 +329,17 @@ Report verify_net(const hw::CostModel& cost,
 
 namespace {
 
-/// The schedule(s) `algo` runs over `num_nodes`: one for the flat
-/// algorithms, the three phases of the two-level all-reduce when the
-/// hierarchy engages. The runtime falls back to flat RHD when it does not,
-/// so the checker judges the schedule that would actually run.
-std::vector<CommSchedule> allreduce_phases(topo::AllreduceAlgo algo,
-                                           int num_nodes, int supernode_size) {
-  switch (algo) {
-    case topo::AllreduceAlgo::kHierarchical:
-      if (topo::hierarchical_applicable({num_nodes, supernode_size})) {
-        return hierarchical_allreduce_phases(num_nodes, supernode_size);
-      }
-      break;
-    case topo::AllreduceAlgo::kRing:
-      return {ring_allreduce_schedule(num_nodes)};
-    case topo::AllreduceAlgo::kParamServer: {
-      // Every worker pushes to rank 0 and pulls the result.
-      CommSchedule sched;
-      sched.name = "allreduce_ps";
-      sched.mesh = false;
-      for (int r = 1; r < num_nodes; ++r) {
-        sched.ops.push_back({CommOp::Kind::kSend, r, 0, 0, 0, 32});
-        sched.ops.push_back({CommOp::Kind::kRecvRow, 0, 0, -1, -1, 32});
-      }
-      for (int r = 1; r < num_nodes; ++r) {
-        sched.ops.push_back({CommOp::Kind::kSend, 0, 0, r, 0, 32});
-        sched.ops.push_back({CommOp::Kind::kRecvRow, r, 0, -1, -1, 32});
-      }
-      return {sched};
-    }
-    case topo::AllreduceAlgo::kRhdAdjacent:
-    case topo::AllreduceAlgo::kRhdRoundRobin:
-      break;  // both RHD placements share one schedule
-  }
-  return {rhd_allreduce_schedule(num_nodes)};
-}
-
-/// Checks each phase, then a multi-phase collective's composition: every
-/// rank runs the phases back to back, so program order and FIFO matching
-/// span them all and a cross-phase cycle is an rlc-deadlock.
-void check_phases(const std::vector<CommSchedule>& phases, const Options& opts,
-                  const std::string& layer, Report* report) {
-  const hw::HwParams hp;  // only mesh dims matter; cluster schedules skip them
-  for (const CommSchedule& phase : phases) {
-    check_schedule(phase, hp, opts, layer, report);
-  }
-  if (phases.size() > 1) check_schedule(phases, hp, opts, layer, report);
+/// Checks the schedule `algo` executes over `topo` (both RHD placements
+/// share one; the hierarchical algorithm falls back to flat RHD where it
+/// does not engage, as at runtime), built for num_nodes floats: every op
+/// range stays non-empty, so every message of the real collective appears.
+void check_allreduce(topo::AllreduceAlgo algo, const topo::Topology& topo,
+                     const Options& opts, const std::string& layer,
+                     Report* report) {
+  check_collective(
+      topo::collective_schedule(algo, topo,
+                                static_cast<std::size_t>(topo.num_nodes)),
+      topo::allreduce_span_name(algo), opts, layer, report);
 }
 
 }  // namespace
@@ -388,8 +354,7 @@ Report verify_allreduce(topo::AllreduceAlgo algo, int num_nodes,
                "allreduce over " + std::to_string(num_nodes) + " nodes");
     return report;
   }
-  check_phases(allreduce_phases(algo, num_nodes, supernode_size), opts, layer,
-               &report);
+  check_allreduce(algo, {num_nodes, supernode_size}, opts, layer, &report);
   return report;
 }
 
@@ -398,12 +363,12 @@ Report verify_comm(const CommPlan& plan, const Options& opts) {
   const std::string layer = plan.name.empty() ? "comm" : plan.name;
   check_comm(plan, opts, layer, &report);
   if (!report.ok()) return report;
+  const topo::Topology topo{plan.num_nodes, plan.supernode_size};
   topo::AllreduceAlgo algo{};
   if (topo::allreduce_algo_from_name(plan.algorithm.c_str(), &algo) &&
       algo == topo::AllreduceAlgo::kHierarchical &&
-      topo::hierarchical_applicable({plan.num_nodes, plan.supernode_size})) {
-    check_phases(allreduce_phases(algo, plan.num_nodes, plan.supernode_size),
-                 opts, layer, &report);
+      topo::hierarchical_applicable(topo)) {
+    check_allreduce(algo, topo, opts, layer, &report);
   }
   return report;
 }

@@ -10,7 +10,7 @@
 //  * verify_gemm       — one blocked mesh GEMM (m, n, k)
 //  * verify_mesh_gemm  — one *unblocked* mesh_gemm kernel launch: predicts
 //                        exactly when the functional kernel would throw
-//  * verify_allreduce  — cluster all-reduce schedule of one algorithm
+//  * verify_allreduce  — the executed all-reduce schedule of one algorithm
 #pragma once
 
 #include <cstdint>
@@ -67,19 +67,18 @@ Report verify_net(const hw::CostModel& cost,
                   const std::vector<core::LayerDesc>& descs,
                   const Options& opts = {});
 
-/// All-reduce schedule check of `algo` (both RHD placements share one
-/// schedule). kHierarchical checks each phase's schedule AND their
-/// composition (local reduce-scatter -> inter RHD -> local all-gather as
-/// one check_schedule over the phase list); geometries where the hierarchy
-/// cannot engage fall back to the flat RHD schedule, mirroring the runtime.
+/// All-reduce schedule check of `algo`: check_collective over
+/// topo::collective_schedule, the range-op schedule the trainer executes
+/// (both RHD placements share one; kHierarchical's three phases are one
+/// schedule, and geometries where the hierarchy cannot engage check the
+/// flat RHD schedule the runtime falls back to).
 Report verify_allreduce(topo::AllreduceAlgo algo, int num_nodes,
                         const Options& opts = {}, int supernode_size = 256);
 
 /// Communication-config check (algorithm x compression x buckets): the
 /// check_comm legality rules, plus — for hierarchical plans that engage —
-/// the per-phase and composed schedule checks of verify_allreduce. swtune rejects candidates through
-/// this driver before pricing them; the trainers assert it on
-/// construction.
+/// the schedule check of verify_allreduce. swtune rejects candidates
+/// here before pricing them; the trainers assert it on construction.
 Report verify_comm(const CommPlan& plan, const Options& opts = {});
 
 /// Retry-plan check (swfault resilient sends): verifies the plan against

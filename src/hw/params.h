@@ -20,8 +20,7 @@ struct HwParams {
   int num_core_groups = 4;
 
   // --- Local directive memory (scratchpad) --------------------------------
-  std::size_t ldm_bytes = 64 * 1024;     ///< per CPE
-  std::size_t icache_bytes = 16 * 1024;  ///< per CPE (not modelled further)
+  std::size_t ldm_bytes = 64 * 1024;  ///< per CPE
 
   // --- Compute throughput --------------------------------------------------
   /// Peak of the 8x8 CPE cluster of ONE core group (double precision; the

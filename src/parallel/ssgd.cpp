@@ -110,10 +110,10 @@ SsgdTrainer::SsgdTrainer(const core::NetSpec& spec, int num_nodes,
   cplan.name = "ssgd-comm";
   cplan.algorithm = topo::allreduce_algo_name(options_.algo);
   cplan.compression = topo::compression_name(options_.compression);
-  // verify_comm expands the hierarchical algorithm into its full per-node
-  // message schedule (about 2.3 M ops at 40,960 nodes) and checks each
-  // phase and their composition: 0.04 s and 15 MB at the 2048-node cap,
-  // 1.4 s and 310 MB at 40,960 nodes on a 4-vCPU Xeon, which the
+  // verify_comm derives the hierarchical algorithm's full per-node
+  // message schedule from the executed one (about 2.3 M ops at 40,960
+  // nodes) and checks it: 0.04 s and 14 MB at the 2048-node cap, 1.4 s
+  // and 290 MB at 40,960 nodes on a 4-vCPU Xeon, which the
   // timing-only fast path cannot afford per question. The schedule
   // invariants are per-phase-structure, not per-count, so past the cap
   // verify a representative sub-machine: the largest supernode multiple within the

@@ -5,7 +5,6 @@
 #include <string_view>
 
 #include "base/log.h"
-#include "topo/collective.h"
 
 namespace swcaffe::topo {
 
@@ -200,37 +199,6 @@ CostBreakdown cost_rhd(std::int64_t bytes, const Topology& topo,
   return cost;
 }
 
-namespace {
-
-/// Views each rank's full vector as a span (the vector overloads delegate to
-/// the span implementations over the whole buffer).
-std::vector<std::span<float>> as_spans(std::vector<std::vector<float>>& data) {
-  std::vector<std::span<float>> spans;
-  spans.reserve(data.size());
-  for (auto& v : data) spans.emplace_back(v);
-  return spans;
-}
-
-}  // namespace
-
-CostBreakdown allreduce_rhd(std::vector<std::vector<float>>& data,
-                            const Topology& topo, const NetParams& net,
-                            Placement placement) {
-  return allreduce_rhd(as_spans(data), topo, net, placement);
-}
-
-CostBreakdown allreduce_rhd(const std::vector<std::span<float>>& data,
-                            const Topology& topo, const NetParams& net,
-                            Placement placement) {
-  const int p = static_cast<int>(data.size());
-  SWC_CHECK_EQ(p, topo.num_nodes);
-  const std::size_t n = data[0].size();
-  for (const auto& v : data) SWC_CHECK_EQ(v.size(), n);
-  if (p == 1) return CostBreakdown{};
-  run_schedule(rhd_schedule(p, n), data);
-  return cost_rhd(static_cast<std::int64_t>(n) * 4, topo, net, placement);
-}
-
 CostBreakdown cost_ring(std::int64_t bytes, const Topology& topo,
                         const NetParams& net, Placement placement) {
   const int p = topo.num_nodes;
@@ -253,23 +221,6 @@ CostBreakdown cost_ring(std::int64_t bytes, const Topology& topo,
   return cost;
 }
 
-CostBreakdown allreduce_ring(std::vector<std::vector<float>>& data,
-                             const Topology& topo, const NetParams& net,
-                             Placement placement) {
-  return allreduce_ring(as_spans(data), topo, net, placement);
-}
-
-CostBreakdown allreduce_ring(const std::vector<std::span<float>>& data,
-                             const Topology& topo, const NetParams& net,
-                             Placement placement) {
-  const int p = static_cast<int>(data.size());
-  SWC_CHECK_EQ(p, topo.num_nodes);
-  const std::size_t n = data[0].size();
-  if (p == 1) return CostBreakdown{};
-  run_schedule(ring_schedule(p, n), data);
-  return cost_ring(static_cast<std::int64_t>(n) * 4, topo, net, placement);
-}
-
 CostBreakdown cost_param_server(std::int64_t bytes, const Topology& topo,
                                 const NetParams& net, int servers) {
   SWC_CHECK_GT(servers, 0);
@@ -290,23 +241,6 @@ CostBreakdown cost_param_server(std::int64_t bytes, const Topology& topo,
   cost.seconds = 2 * alpha + cost.beta1_bytes * net.beta1() +
                  cost.gamma_bytes * net.gamma();
   return cost;
-}
-
-CostBreakdown allreduce_param_server(std::vector<std::vector<float>>& data,
-                                     const Topology& topo,
-                                     const NetParams& net, int servers) {
-  return allreduce_param_server(as_spans(data), topo, net, servers);
-}
-
-CostBreakdown allreduce_param_server(const std::vector<std::span<float>>& data,
-                                     const Topology& topo,
-                                     const NetParams& net, int servers) {
-  const int p = static_cast<int>(data.size());
-  SWC_CHECK_EQ(p, topo.num_nodes);
-  const std::size_t n = data[0].size();
-  run_schedule(param_server_schedule(p, n), data);
-  return cost_param_server(static_cast<std::int64_t>(n) * 4, topo, net,
-                           servers);
 }
 
 }  // namespace swcaffe::topo

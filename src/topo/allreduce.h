@@ -1,9 +1,11 @@
-// All-reduce algorithms over the simulated cluster (paper Sec. V-A).
+// All-reduce algorithms over the simulated cluster (paper Sec. V-A): their
+// names, placements and closed-form alpha/beta/gamma prices.
 //
-// Functional variants move real float buffers between in-process ranks and
-// return the same cost breakdown the analytic variants compute, so the cost
-// model is validated against the data movement it claims to describe
-// (Fig. 7 invariants in tests/topo).
+// The data movement itself lives in topo/collective: one range-op schedule
+// per algorithm, run by the trainer and derived into the send/receive
+// schedule swcheck verifies. tests/collective_test counts the alpha, beta
+// and gamma terms of those schedules and gates the cost_* prices below
+// against the counts (the Fig. 7 invariants are such counts).
 //
 // Algorithms:
 //  * recursive halving + recursive doubling (MPICH binomial; the paper's
@@ -19,9 +21,7 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "topo/network_model.h"
 #include "topo/topology.h"
@@ -94,47 +94,18 @@ struct CostBreakdown {
 void trace_allreduce(trace::Tracer* tracer, int track, std::string name,
                      const CostBreakdown& breakdown);
 
-/// Recursive-halving reduce-scatter + recursive-doubling allgather.
-/// Functional: `data[r]` is rank r's vector; on return every rank holds the
-/// elementwise sum. Non-power-of-2 node counts use MPICH's fold/unfold
-/// scheme (extra ranks merge into a neighbour before the core algorithm and
-/// receive the result after it).
-CostBreakdown allreduce_rhd(std::vector<std::vector<float>>& data,
-                            const Topology& topo, const NetParams& net,
-                            Placement placement);
-
-/// Span variant: reduces `data[r]` in place where each span views rank r's
-/// slice of a larger buffer (the bucketed all-reduce reduces one
-/// layer-aligned bucket per call). Identical arithmetic and identical cost
-/// to the vector variant over the same elements.
-CostBreakdown allreduce_rhd(const std::vector<std::span<float>>& data,
-                            const Topology& topo, const NetParams& net,
-                            Placement placement);
-
-/// Analytic cost of the same algorithm for arbitrary message size (used at
-/// 1024-node scale where functional buffers would not fit).
+/// Recursive-halving reduce-scatter + recursive-doubling allgather of a
+/// `bytes` message. Non-power-of-2 node counts add MPICH's fold/unfold
+/// exchange of the full message before and after the core algorithm.
 CostBreakdown cost_rhd(std::int64_t bytes, const Topology& topo,
                        const NetParams& net, Placement placement);
 
 /// Ring all-reduce (reduce-scatter ring + allgather ring).
-CostBreakdown allreduce_ring(std::vector<std::vector<float>>& data,
-                             const Topology& topo, const NetParams& net,
-                             Placement placement);
-CostBreakdown allreduce_ring(const std::vector<std::span<float>>& data,
-                             const Topology& topo, const NetParams& net,
-                             Placement placement);
 CostBreakdown cost_ring(std::int64_t bytes, const Topology& topo,
                         const NetParams& net, Placement placement);
 
 /// Parameter-server synchronization: workers push gradients to `servers`
-/// shards, servers reduce and broadcast back. Functional result equals the
-/// all-reduce sum on every rank.
-CostBreakdown allreduce_param_server(std::vector<std::vector<float>>& data,
-                                     const Topology& topo,
-                                     const NetParams& net, int servers);
-CostBreakdown allreduce_param_server(const std::vector<std::span<float>>& data,
-                                     const Topology& topo,
-                                     const NetParams& net, int servers);
+/// shards, servers reduce and broadcast back.
 CostBreakdown cost_param_server(std::int64_t bytes, const Topology& topo,
                                 const NetParams& net, int servers);
 

@@ -25,33 +25,36 @@ int log2i(int v) {
 }
 
 void emit(std::vector<RangeOp>& ops, RangeOp::Kind kind, int dst, int src,
-          std::size_t lo, std::size_t hi) {
-  if (lo < hi) ops.push_back({kind, dst, src, lo, hi});
+          int round, std::size_t lo, std::size_t hi) {
+  if (lo < hi) ops.push_back({kind, dst, src, round, lo, hi});
 }
 
 /// Appends the RHD all-reduce of elements [base, base + n) over the buffers
-/// rank[0..p-1]. Non-power-of-2 p (Thakur et al. Sec. 4): the first
-/// 2*extra ranks pair up; each odd rank folds its vector into the even
-/// neighbour, sits out the core algorithm and receives the result after it.
-void append_rhd(std::vector<RangeOp>& ops, const std::vector<int>& rank,
-                std::size_t base, std::size_t n) {
+/// rank[0..p-1], starting at `round`; returns the round after its last.
+/// Non-power-of-2 p (Thakur et al. Sec. 4): the first 2*extra ranks pair
+/// up; each odd rank folds its vector into the even neighbour, sits out the
+/// core algorithm and receives the result after it.
+int append_rhd(std::vector<RangeOp>& ops, const std::vector<int>& rank,
+               std::size_t base, std::size_t n, int round) {
   const int p = static_cast<int>(rank.size());
-  if (p == 1) return;
+  if (p == 1) return round;
   const int p2 = pow2_floor(p);
   const int extra = p - p2;
   std::vector<int> ids;  // buffer of core-algorithm slot j
   ids.reserve(p2);
   for (int i = 0; i < extra; ++i) {
-    emit(ops, RangeOp::kAdd, rank[2 * i], rank[2 * i + 1], base, base + n);
+    emit(ops, RangeOp::kAdd, rank[2 * i], rank[2 * i + 1], round, base,
+         base + n);
     ids.push_back(rank[2 * i]);
   }
+  if (extra > 0) ++round;
   for (int r = 2 * extra; r < p; ++r) ids.push_back(rank[r]);
 
   const int steps = log2i(p2);
   std::vector<std::size_t> lo(p2, 0), hi(p2, n);
   // Reduce-scatter (recursive halving): the lower slot keeps [lo, mid) and
   // receives the partner's copy of it; the partner keeps [mid, hi).
-  for (int s = 0; s < steps; ++s) {
+  for (int s = 0; s < steps; ++s, ++round) {
     const int d = p2 >> (s + 1);
     for (int r = 0; r < p2; ++r) {
       const int partner = r ^ d;
@@ -59,22 +62,24 @@ void append_rhd(std::vector<RangeOp>& ops, const std::vector<int>& rank,
       SWC_CHECK_EQ(lo[r], lo[partner]);
       SWC_CHECK_EQ(hi[r], hi[partner]);
       const std::size_t mid = (lo[r] + hi[r]) / 2;
-      emit(ops, RangeOp::kAdd, ids[r], ids[partner], base + lo[r], base + mid);
-      emit(ops, RangeOp::kAdd, ids[partner], ids[r], base + mid, base + hi[r]);
+      emit(ops, RangeOp::kAdd, ids[r], ids[partner], round, base + lo[r],
+           base + mid);
+      emit(ops, RangeOp::kAdd, ids[partner], ids[r], round, base + mid,
+           base + hi[r]);
       hi[r] = mid;
       lo[partner] = mid;
     }
   }
   // All-gather (recursive doubling): each pair swaps the halves it split
   // at forward step s.
-  for (int s = steps - 1; s >= 0; --s) {
+  for (int s = steps - 1; s >= 0; --s, ++round) {
     const int d = p2 >> (s + 1);
     for (int r = 0; r < p2; ++r) {
       const int partner = r ^ d;
       if (partner < r) continue;
-      emit(ops, RangeOp::kCopy, ids[r], ids[partner], base + lo[partner],
-           base + hi[partner]);
-      emit(ops, RangeOp::kCopy, ids[partner], ids[r], base + lo[r],
+      emit(ops, RangeOp::kCopy, ids[r], ids[partner], round,
+           base + lo[partner], base + hi[partner]);
+      emit(ops, RangeOp::kCopy, ids[partner], ids[r], round, base + lo[r],
            base + hi[r]);
       lo[r] = lo[partner] = std::min(lo[r], lo[partner]);
       hi[r] = hi[partner] = std::max(hi[r], hi[partner]);
@@ -85,8 +90,10 @@ void append_rhd(std::vector<RangeOp>& ops, const std::vector<int>& rank,
     SWC_CHECK_EQ(hi[r], n);
   }
   for (int i = 0; i < extra; ++i) {
-    emit(ops, RangeOp::kCopy, rank[2 * i + 1], rank[2 * i], base, base + n);
+    emit(ops, RangeOp::kCopy, rank[2 * i + 1], rank[2 * i], round, base,
+         base + n);
   }
+  return extra > 0 ? round + 1 : round;
 }
 
 }  // namespace
@@ -96,7 +103,7 @@ RangeSchedule rhd_schedule(int p, std::size_t n) {
   RangeSchedule s{p, 0, n, {}};
   std::vector<int> rank(static_cast<std::size_t>(p));
   std::iota(rank.begin(), rank.end(), 0);
-  append_rhd(s.ops, rank, 0, n);
+  append_rhd(s.ops, rank, 0, n, 0);
   return s;
 }
 
@@ -115,7 +122,7 @@ RangeSchedule ring_schedule(int p, std::size_t n) {
     for (int r = 0; r < p; ++r) {
       const int src = (r - 1 + p) % p;
       const int b = (src - st + p) % p;
-      emit(s.ops, RangeOp::kAdd, r, src, block_lo(b), block_hi(b));
+      emit(s.ops, RangeOp::kAdd, r, src, st, block_lo(b), block_hi(b));
     }
   }
   // All-gather: rank r starts by sending its owned block (r+1) % p.
@@ -123,7 +130,8 @@ RangeSchedule ring_schedule(int p, std::size_t n) {
     for (int r = 0; r < p; ++r) {
       const int src = (r - 1 + p) % p;
       const int b = (src + 1 - st + p) % p;
-      emit(s.ops, RangeOp::kCopy, r, src, block_lo(b), block_hi(b));
+      emit(s.ops, RangeOp::kCopy, r, src, p - 1 + st, block_lo(b),
+           block_hi(b));
     }
   }
   return s;
@@ -134,8 +142,8 @@ RangeSchedule param_server_schedule(int p, std::size_t n) {
   // Buffer p is the server's sum, which starts from +0.0f (so a lone -0.0f
   // gradient comes back +0.0f, as a push into a zeroed buffer does).
   RangeSchedule s{p, 1, n, {}};
-  for (int r = 0; r < p; ++r) emit(s.ops, RangeOp::kAdd, p, r, 0, n);
-  for (int r = 0; r < p; ++r) emit(s.ops, RangeOp::kCopy, r, p, 0, n);
+  for (int r = 0; r < p; ++r) emit(s.ops, RangeOp::kAdd, p, r, 0, 0, n);
+  for (int r = 0; r < p; ++r) emit(s.ops, RangeOp::kCopy, r, p, 1, 0, n);
   return s;
 }
 
@@ -153,7 +161,7 @@ RangeSchedule hierarchical_schedule(const Topology& topo, std::size_t n) {
   const int steps = log2i(q);
   std::vector<std::size_t> lo(q, 0), hi(q, n);
 
-  // Phase A: supernode-local reduce-scatter.
+  // Phase A: supernode-local reduce-scatter, rounds [0, steps).
   for (int t = 0; t < steps; ++t) {
     const int d = q >> (t + 1);
     for (int j = 0; j < q; ++j) {
@@ -163,8 +171,8 @@ RangeSchedule hierarchical_schedule(const Topology& topo, std::size_t n) {
       SWC_CHECK_EQ(hi[j], hi[pj]);
       const std::size_t mid = (lo[j] + hi[j]) / 2;
       for (int k = 0; k < s; ++k) {
-        emit(ops, RangeOp::kAdd, rank(k, j), rank(k, pj), lo[j], mid);
-        emit(ops, RangeOp::kAdd, rank(k, pj), rank(k, j), mid, hi[j]);
+        emit(ops, RangeOp::kAdd, rank(k, j), rank(k, pj), t, lo[j], mid);
+        emit(ops, RangeOp::kAdd, rank(k, pj), rank(k, j), t, mid, hi[j]);
       }
       hi[j] = mid;
       lo[pj] = mid;
@@ -173,22 +181,26 @@ RangeSchedule hierarchical_schedule(const Topology& topo, std::size_t n) {
 
   // Phase B: member j of every supernode holds the group partial of
   // [lo[j], hi[j]); the s holders run a full RHD over it (fold/unfold
-  // included, so ragged supernode counts only fold the chunk).
+  // included, so ragged supernode counts only fold the chunk). The q chunk
+  // collectives run concurrently: each starts at round `steps`.
+  int round = steps;
   for (int j = 0; j < q; ++j) {
     std::vector<int> holders(static_cast<std::size_t>(s));
     for (int k = 0; k < s; ++k) holders[k] = rank(k, j);
-    append_rhd(ops, holders, lo[j], hi[j] - lo[j]);
+    round = append_rhd(ops, holders, lo[j], hi[j] - lo[j], steps);
   }
 
   // Phase C: supernode-local all-gather, the mirror of phase A.
-  for (int t = steps - 1; t >= 0; --t) {
+  for (int t = steps - 1; t >= 0; --t, ++round) {
     const int d = q >> (t + 1);
     for (int j = 0; j < q; ++j) {
       const int pj = j ^ d;
       if (pj < j) continue;
       for (int k = 0; k < s; ++k) {
-        emit(ops, RangeOp::kCopy, rank(k, j), rank(k, pj), lo[pj], hi[pj]);
-        emit(ops, RangeOp::kCopy, rank(k, pj), rank(k, j), lo[j], hi[j]);
+        emit(ops, RangeOp::kCopy, rank(k, j), rank(k, pj), round, lo[pj],
+             hi[pj]);
+        emit(ops, RangeOp::kCopy, rank(k, pj), rank(k, j), round, lo[j],
+             hi[j]);
       }
       lo[j] = lo[pj] = std::min(lo[j], lo[pj]);
       hi[j] = hi[pj] = std::max(hi[j], hi[pj]);

@@ -4,7 +4,11 @@
 // Each algorithm is a *range-op schedule*: an ordered list of
 // `dst[lo, hi) += src[lo, hi)` and `dst[lo, hi) = src[lo, hi)` steps over
 // the ranks' buffers, built once from (algorithm, p, q, n) and independent
-// of the data. Every op reads and writes the same element index in both
+// of the data. Each op carries its round: the communication step it belongs
+// to, in which every rank exchanges with its partners of that step. swcheck
+// derives the cluster send/receive schedule it verifies from these rounds
+// (check::comm_schedule), so the schedule that runs is the schedule that is
+// checked. Every op reads and writes the same element index in both
 // buffers, so an element's result depends only on the ops that cover it,
 // in schedule order. One executor runs any schedule: it cuts [0, n) into
 // kCollectiveBlock-float blocks and, per block, runs every op that
@@ -36,6 +40,7 @@ struct RangeOp {
   Kind kind = kAdd;  ///< kAdd: dst[i] += src[i]; kCopy: dst[i] = src[i]
   int dst = 0;
   int src = 0;
+  int round = 0;  ///< communication step, counted from 0 per schedule
   std::size_t lo = 0;
   std::size_t hi = 0;
 };
@@ -52,11 +57,12 @@ struct RangeSchedule {
 };
 
 /// Recursive halving + doubling with MPICH's fold/unfold for non-power-of-2
-/// p (the loops of allreduce_rhd).
+/// p: rank 2i+1 folds into rank 2i for i < p - 2^floor(log2 p).
 RangeSchedule rhd_schedule(int p, std::size_t n);
 /// Ring reduce-scatter + ring all-gather over p near-equal blocks.
 RangeSchedule ring_schedule(int p, std::size_t n);
-/// Sum into one +0-filled scratch row in rank order, then copy it out.
+/// Sum into one +0-filled scratch row in rank order (round 0), then copy it
+/// out (round 1).
 RangeSchedule param_server_schedule(int p, std::size_t n);
 /// Two-level all-reduce (topo/hierarchical): phase A, phase B as
 /// rhd_schedule over each chunk's holders, phase C. Falls back to

@@ -1,8 +1,5 @@
 #include "topo/hierarchical.h"
 
-#include "base/log.h"
-#include "topo/collective.h"
-
 namespace swcaffe::topo {
 
 namespace {
@@ -43,29 +40,6 @@ CostBreakdown cost_hierarchical(std::int64_t bytes, const Topology& topo,
   const std::int64_t chunk = (bytes + q - 1) / q;
   cost += cost_rhd(chunk, inter, net, Placement::kAdjacent);
   return cost;
-}
-
-CostBreakdown allreduce_hierarchical(std::vector<std::vector<float>>& data,
-                                     const Topology& topo,
-                                     const NetParams& net) {
-  std::vector<std::span<float>> spans;
-  spans.reserve(data.size());
-  for (auto& v : data) spans.emplace_back(v);
-  return allreduce_hierarchical(spans, topo, net);
-}
-
-CostBreakdown allreduce_hierarchical(const std::vector<std::span<float>>& data,
-                                     const Topology& topo,
-                                     const NetParams& net) {
-  const int p = static_cast<int>(data.size());
-  SWC_CHECK_EQ(p, topo.num_nodes);
-  const std::size_t n = data[0].size();
-  for (const auto& v : data) SWC_CHECK_EQ(v.size(), n);
-  if (p == 1) return CostBreakdown{};
-  // Both the schedule and the price fall back to flat round-robin RHD
-  // where the hierarchy does not apply.
-  run_schedule(hierarchical_schedule(topo, n), data);
-  return cost_hierarchical(static_cast<std::int64_t>(n) * 4, topo, net);
 }
 
 }  // namespace swcaffe::topo

@@ -15,8 +15,9 @@
 //
 // For p = q * s with q and s powers of two this is *exactly* the flat RHD
 // under round-robin placement (phase A = the high-bit butterfly steps, all
-// intra; phase B = the low-bit steps, all cross), so the functional result
-// is bit-identical and the priced cost matches to float-summation order.
+// intra; phase B = the low-bit steps, all cross), so the executed schedule
+// (topo::hierarchical_schedule) gives bit-identical results and the priced
+// cost matches to float-summation order.
 // The hierarchy pays off off the beaten path: when s is not a power of two
 // (40,960 = 160 x 256 full-machine), flat RHD folds the FULL message
 // between ragged ranks while phase B folds only the 1/q chunk — the
@@ -29,8 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "topo/allreduce.h"
 #include "topo/network_model.h"
@@ -52,17 +51,5 @@ bool hierarchical_applicable(const Topology& topo);
 /// hierarchy is not applicable.
 CostBreakdown cost_hierarchical(std::int64_t bytes, const Topology& topo,
                                 const NetParams& net);
-
-/// Functional two-level all-reduce: `data[r]` is rank r's vector; on return
-/// every rank holds the elementwise sum. Supernode membership follows the
-/// round-robin placement the algorithm implies (rank r lives in supernode
-/// r % s), and the phase arithmetic reproduces flat RHD's per-element
-/// summation trees whenever s is a power of two — bit-identical results.
-CostBreakdown allreduce_hierarchical(std::vector<std::vector<float>>& data,
-                                     const Topology& topo,
-                                     const NetParams& net);
-CostBreakdown allreduce_hierarchical(const std::vector<std::span<float>>& data,
-                                     const Topology& topo,
-                                     const NetParams& net);
 
 }  // namespace swcaffe::topo

@@ -45,7 +45,6 @@ struct NetParams {
   double alpha_collective = 25e-6;
 
   double beta1() const { return 1.0 / (link_bw * collective_efficiency); }
-  double beta2() const { return oversub / (link_bw * collective_efficiency); }
   double gamma() const { return 1.0 / reduce_bw; }
 };
 

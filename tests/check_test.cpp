@@ -14,6 +14,7 @@
 #include "check/plan_model.h"
 #include "check/rules.h"
 #include "check/verify.h"
+#include "collective_fixtures.h"
 #include "core/models.h"
 #include "fixtures.h"
 #include "hw/chip.h"
@@ -212,9 +213,9 @@ TEST(RlcRules, BuiltinSchedulesAreDeadlockFree) {
 }
 
 TEST(RlcRules, AllreduceSchedulesAreDeadlockFree) {
-  for (topo::AllreduceAlgo algo :
-       {topo::AllreduceAlgo::kRhdRoundRobin, topo::AllreduceAlgo::kRing,
-        topo::AllreduceAlgo::kParamServer}) {
+  // Every executed schedule, the hierarchical one included (it engages at
+  // 1024 nodes in 256-node supernodes and falls back to RHD below).
+  for (topo::AllreduceAlgo algo : topo::kAllreduceAlgos) {
     for (int nodes : {1, 2, 24, 100, 256, 1024}) {
       const Report report = verify_allreduce(algo, nodes);
       EXPECT_TRUE(report.diagnostics().empty())
@@ -277,7 +278,7 @@ TEST(ComposedRules, CrossPhaseCycleIsADeadlock) {
 TEST(ComposedRules, ReversedHierarchicalInterPhaseDeadlocks) {
   // Reversing the inter-supernode phase turns every send-then-receive RHD
   // exchange into receive-then-send on both partners.
-  std::vector<CommSchedule> phases = hierarchical_allreduce_phases(16, 4);
+  std::vector<CommSchedule> phases = fixtures::hierarchical_phases(16, 4);
   std::reverse(phases[1].ops.begin(), phases[1].ops.end());
   const Report report = check_composed(phases);
   ASSERT_EQ(report.diagnostics().size(), 1u) << report.summary();
@@ -290,20 +291,22 @@ TEST(ComposedRules, ReversedHierarchicalInterPhaseDeadlocks) {
 TEST(ComposedRules, ShippedCompositionsAreSilent) {
   // Four per-bucket RHD collectives back to back, and the three-phase
   // hierarchical decomposition at clean and ragged geometries.
-  const std::vector<CommSchedule> rhd_x4(4, rhd_allreduce_schedule(8));
+  const std::vector<CommSchedule> rhd_x4(
+      4, comm_schedule(topo::rhd_schedule(8, 8), "allreduce.rhd"));
   EXPECT_TRUE(check_composed(rhd_x4).empty())
       << check_composed(rhd_x4).summary();
   for (auto [nodes, q] : {std::pair{16, 4}, {24, 8}, {1024, 256}}) {
     const Report report =
-        check_composed(hierarchical_allreduce_phases(nodes, q));
+        check_composed(fixtures::hierarchical_phases(nodes, q));
     EXPECT_TRUE(report.empty()) << nodes << "/" << q << ": "
                                 << report.summary();
   }
 }
 
 TEST(ComposedRules, MixedMeshAndClusterPhasesAreInvalid) {
-  const Report report =
-      check_composed({mesh_gemm_schedule(kHp), rhd_allreduce_schedule(4)});
+  const Report report = check_composed(
+      {mesh_gemm_schedule(kHp),
+       comm_schedule(topo::rhd_schedule(4, 4), "allreduce.rhd")});
   EXPECT_TRUE(report.has(Code::kGeomInvalid)) << report.summary();
 }
 
@@ -408,6 +411,26 @@ TEST(CommRules, VerifyCommComposesHierarchicalTimeline) {
   EXPECT_TRUE(verify_comm(p).ok()) << verify_comm(p).summary();
   p.num_nodes = 10;  // fallback geometry
   EXPECT_TRUE(verify_comm(p).ok()) << verify_comm(p).summary();
+}
+
+TEST(CommRules, SwappedHierarchicalOpBreaksTheRoundPort) {
+  // One op of the executed hierarchical schedule at 16/4 with its source
+  // and destination swapped: the pair now sends both halves one way, so
+  // one rank sends twice and its partner receives twice in that round.
+  // Sends still precede receives, so only the port rule can see it.
+  topo::RangeSchedule twin = topo::hierarchical_schedule({16, 4}, 16);
+  std::swap(twin.ops[0].src, twin.ops[0].dst);
+  Report broken;
+  check_collective(twin, "twin", Options{}, "allreduce-hierarchical", &broken);
+  ASSERT_EQ(broken.diagnostics().size(), 1u) << broken.summary();
+  EXPECT_TRUE(broken.has(Code::kCollectivePort)) << broken.summary();
+  EXPECT_NE(broken.summary().find("2 port conflict(s)"), std::string::npos)
+      << broken.summary();
+
+  Report clean;
+  check_collective(topo::hierarchical_schedule({16, 4}, 16), "hier",
+                   Options{}, "allreduce-hierarchical", &clean);
+  EXPECT_TRUE(clean.empty()) << clean.summary();
 }
 
 TEST(CommRules, Int8RingRejectedExactlyAsTheTrainerSees) {

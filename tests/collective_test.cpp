@@ -6,7 +6,9 @@
 // right" is not enough: every bit, at every pool width, must be the
 // reference's (NaN payloads aside, see same_bits). Three twins with one
 // deliberate defect each (operand-swapped add, a dropped block tail, two
-// ops reordered) show the comparison catches what it is meant to.
+// ops reordered) show the comparison catches what it is meant to. The
+// schedules' alpha/beta/gamma terms, counted op by op, gate the priced
+// CostBreakdown of every algorithm.
 #include "topo/collective.h"
 
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "collective_fixtures.h"
 #include "proptest.h"
 #include "sim/thread_pool.h"
 #include "topo/compress.h"
@@ -372,28 +375,66 @@ TEST(CollectiveExecutorTest, HierarchicalMatchesTheSerialLoopsBitwise) {
 }
 
 TEST(CollectiveExecutorTest, AllreduceEntryPointsRunTheSchedules) {
-  // The functional topo::allreduce_* variants keep their results: each is
-  // its schedule on the executor.
-  const NetParams net = sunway_network();
+  // collective_schedule, the one entry point the trainer calls, hands every
+  // algorithm its own schedule: both RHD placements run RHD.
   Topology topo;
   topo.num_nodes = 8;
   topo.supernode_size = 2;
   const std::size_t n = 2 * kB + 3;
   const Buffers input = special_payload(42, 8, n);
-  const auto check = [&](auto&& entry, auto&& reference) {
+  const auto check = [&](AllreduceAlgo algo, auto&& reference) {
     Buffers got = input, want = input;
-    entry(got);
+    fixtures::run_allreduce(algo, topo, got);
     reference(spans_of(want));
-    EXPECT_EQ(first_mismatch(got, want), -1);
+    EXPECT_EQ(first_mismatch(got, want), -1) << allreduce_algo_name(algo);
   };
-  check([&](Buffers& d) { allreduce_rhd(d, topo, net, Placement::kAdjacent); },
-        ref_rhd);
-  check([&](Buffers& d) { allreduce_ring(d, topo, net, Placement::kAdjacent); },
-        ref_ring);
-  check([&](Buffers& d) { allreduce_param_server(d, topo, net, 1); },
-        ref_param_server);
-  check([&](Buffers& d) { allreduce_hierarchical(d, topo, net); },
+  check(AllreduceAlgo::kRhdAdjacent, ref_rhd);
+  check(AllreduceAlgo::kRhdRoundRobin, ref_rhd);
+  check(AllreduceAlgo::kRing, ref_ring);
+  check(AllreduceAlgo::kParamServer, ref_param_server);
+  check(AllreduceAlgo::kHierarchical,
         [](const Spans& s) { ref_hierarchical(s, 2); });
+}
+
+// --- Counted terms vs the priced breakdown ---------------------------------
+
+TEST(CollectiveCountTest, CountedTermsMatchThePricedBreakdown) {
+  // Rank 0's rounds, bytes and reduced bytes in the executed schedule (the
+  // parameter server's: its sum row, with one server) are the alpha, beta
+  // and gamma terms allreduce_cost prices, at every power-of-two p in
+  // [2, 64] and n divisible by p. Supernode sizes 2..256 make RHD's beta2
+  // share (Fig. 7) and the hierarchical phase split count for something.
+  const NetParams net = sunway_network();
+  for (int p = 2; p <= 64; p *= 2) {
+    for (int q : {2, 4, 16, 256}) {
+      const Topology topo{p, q};
+      const std::size_t n = 4 * static_cast<std::size_t>(p);
+      for (AllreduceAlgo algo : kAllreduceAlgos) {
+        const bool ps = algo == AllreduceAlgo::kParamServer;
+        const fixtures::TermCount got =
+            fixtures::count_terms(collective_schedule(algo, topo, n),
+                                 ps ? p : 0, topo, placement_for(algo));
+        const CostBreakdown want =
+            allreduce_cost(algo, Compression::kNone,
+                           static_cast<std::int64_t>(4 * n), topo, net, 1);
+        const std::string at = std::string(allreduce_algo_name(algo)) +
+                               " p=" + std::to_string(p) +
+                               " q=" + std::to_string(q);
+        EXPECT_EQ(got.alpha, want.alpha_terms) << at;
+        EXPECT_EQ(got.gamma, want.gamma_bytes) << at;
+        if (algo == AllreduceAlgo::kRing || ps) {
+          // These two price every byte at the intra-supernode rate, even
+          // the hops the count sees crossing once p > q: only the total
+          // is a count.
+          EXPECT_EQ(want.beta2_bytes, 0.0) << at;
+          EXPECT_EQ(got.beta1 + got.beta2, want.beta1_bytes) << at;
+        } else {
+          EXPECT_EQ(got.beta1, want.beta1_bytes) << at;
+          EXPECT_EQ(got.beta2, want.beta2_bytes) << at;
+        }
+      }
+    }
+  }
 }
 
 // --- Twins: each carries one defect the oracle must catch -------------------

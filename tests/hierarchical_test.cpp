@@ -12,8 +12,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "collective_fixtures.h"
 #include "proptest.h"
 #include "topo/allreduce.h"
+#include "topo/collective.h"
 #include "topo/network_model.h"
 #include "topo/topology.h"
 
@@ -112,7 +114,6 @@ TEST(HierCostTest, ZeroBytesCostsOnlyLatency) {
 TEST(HierFunctionalTest, BitIdenticalToFlatWhenStructuresCoincide) {
   // p = 16, q = 4, s = 4: identical per-element summation trees, so the
   // results must match BITWISE, not just within tolerance.
-  const NetParams net = sunway_network();
   Topology topo;
   topo.num_nodes = 16;
   topo.supernode_size = 4;
@@ -120,8 +121,8 @@ TEST(HierFunctionalTest, BitIdenticalToFlatWhenStructuresCoincide) {
     const int n = 1 + static_cast<int>(rng.next_below(97));
     auto flat = random_data(rng, 16, n);
     auto hier = flat;
-    allreduce_rhd(flat, topo, net, Placement::kRoundRobin);
-    allreduce_hierarchical(hier, topo, net);
+    fixtures::run_allreduce(AllreduceAlgo::kRhdRoundRobin, topo, flat);
+    fixtures::run_allreduce(AllreduceAlgo::kHierarchical, topo, hier);
     for (int r = 0; r < 16; ++r) {
       for (int i = 0; i < n; ++i) {
         EXPECT_EQ(std::bit_cast<std::uint32_t>(hier[r][i]),
@@ -136,7 +137,6 @@ TEST(HierFunctionalTest, RaggedSupernodeCountSumsCorrectly) {
   // p = 24, q = 8 -> s = 3 supernodes (non-power-of-two inter phase): every
   // rank must end with the same vector, equal to the true sum within float
   // tolerance (different summation order than flat is expected).
-  const NetParams net = sunway_network();
   Topology topo;
   topo.num_nodes = 24;
   topo.supernode_size = 8;
@@ -147,7 +147,7 @@ TEST(HierFunctionalTest, RaggedSupernodeCountSumsCorrectly) {
     for (const auto& v : data) {
       for (int i = 0; i < n; ++i) expect[i] += v[i];
     }
-    allreduce_hierarchical(data, topo, net);
+    fixtures::run_allreduce(AllreduceAlgo::kHierarchical, topo, data);
     for (int r = 0; r < 24; ++r) {
       for (int i = 0; i < n; ++i) {
         EXPECT_EQ(std::bit_cast<std::uint32_t>(data[r][i]),
@@ -171,10 +171,11 @@ TEST(HierFunctionalTest, FallbackIsBitwiseFlatRhd) {
     const int n = 33;
     auto flat = random_data(rng, p, n);
     auto hier = flat;
-    const CostBreakdown cf = allreduce_rhd(flat, topo, net,
-                                           Placement::kRoundRobin);
-    const CostBreakdown ch = allreduce_hierarchical(hier, topo, net);
-    EXPECT_EQ(ch.seconds, cf.seconds) << p << "/" << q;
+    fixtures::run_allreduce(AllreduceAlgo::kRhdRoundRobin, topo, flat);
+    fixtures::run_allreduce(AllreduceAlgo::kHierarchical, topo, hier);
+    EXPECT_EQ(cost_hierarchical(n * 4, topo, net).seconds,
+              cost_rhd(n * 4, topo, net, Placement::kRoundRobin).seconds)
+        << p << "/" << q;
     for (int r = 0; r < p; ++r) {
       for (int i = 0; i < n; ++i) {
         EXPECT_EQ(std::bit_cast<std::uint32_t>(hier[r][i]),
@@ -186,7 +187,6 @@ TEST(HierFunctionalTest, FallbackIsBitwiseFlatRhd) {
 }
 
 TEST(HierFunctionalTest, DeterministicAcrossReruns) {
-  const NetParams net = sunway_network();
   Topology topo;
   topo.num_nodes = 24;
   topo.supernode_size = 8;
@@ -194,8 +194,8 @@ TEST(HierFunctionalTest, DeterministicAcrossReruns) {
   const auto base = random_data(rng, 24, 50);
   auto a = base;
   auto b = base;
-  allreduce_hierarchical(a, topo, net);
-  allreduce_hierarchical(b, topo, net);
+  fixtures::run_allreduce(AllreduceAlgo::kHierarchical, topo, a);
+  fixtures::run_allreduce(AllreduceAlgo::kHierarchical, topo, b);
   for (int r = 0; r < 24; ++r) {
     for (int i = 0; i < 50; ++i) {
       EXPECT_EQ(std::bit_cast<std::uint32_t>(a[r][i]),
@@ -207,7 +207,6 @@ TEST(HierFunctionalTest, DeterministicAcrossReruns) {
 TEST(HierFunctionalTest, ShortMessageLeavesEmptyChunks) {
   // n < q: some members own empty chunk spans; the reduction must still
   // complete and agree on every rank.
-  const NetParams net = sunway_network();
   Topology topo;
   topo.num_nodes = 16;
   topo.supernode_size = 8;
@@ -217,7 +216,7 @@ TEST(HierFunctionalTest, ShortMessageLeavesEmptyChunks) {
   for (const auto& v : data) {
     for (int i = 0; i < 3; ++i) expect[i] += v[i];
   }
-  allreduce_hierarchical(data, topo, net);
+  fixtures::run_allreduce(AllreduceAlgo::kHierarchical, topo, data);
   for (int r = 0; r < 16; ++r) {
     for (int i = 0; i < 3; ++i) {
       EXPECT_NEAR(data[r][i], expect[i], 1e-5);
@@ -228,20 +227,20 @@ TEST(HierFunctionalTest, ShortMessageLeavesEmptyChunks) {
 }
 
 TEST(HierFunctionalTest, CostMatchesAnalyticModel) {
-  // The functional overload must return exactly what the analytic pricing
-  // claims for the same geometry and byte count.
+  // The executed schedule, counted at rank 0 under the round-robin
+  // placement, has exactly the terms the analytic pricing charges: phases
+  // A and C all intra-supernode, phase B all crossing.
   const NetParams net = sunway_network();
   Topology topo;
   topo.num_nodes = 16;
   topo.supernode_size = 4;
-  Rng rng(0xC057ULL);
-  auto data = random_data(rng, 16, 40);
-  const CostBreakdown functional = allreduce_hierarchical(data, topo, net);
-  const CostBreakdown analytic = cost_hierarchical(40 * 4, topo, net);
-  EXPECT_EQ(functional.seconds, analytic.seconds);
-  EXPECT_EQ(functional.alpha_terms, analytic.alpha_terms);
-  EXPECT_EQ(functional.beta1_bytes, analytic.beta1_bytes);
-  EXPECT_EQ(functional.beta2_bytes, analytic.beta2_bytes);
+  const fixtures::TermCount counted = fixtures::count_terms(
+      hierarchical_schedule(topo, 64), 0, topo, Placement::kRoundRobin);
+  const CostBreakdown analytic = cost_hierarchical(64 * 4, topo, net);
+  EXPECT_EQ(counted.alpha, analytic.alpha_terms);
+  EXPECT_EQ(counted.beta1, analytic.beta1_bytes);
+  EXPECT_EQ(counted.beta2, analytic.beta2_bytes);
+  EXPECT_EQ(counted.gamma, analytic.gamma_bytes);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "check/timeline_io.h"
 #include "check/verify.h"
 #include "proptest.h"
+#include "topo/collective.h"
 #include "trace/json.h"
 
 namespace swcaffe {
@@ -27,13 +28,14 @@ namespace {
 using proptest::Rng;
 using proptest::for_all;
 
-/// One valid timeline export to seed the mutations: a small comm-phase
-/// composition, exactly what swcaffe_check --export-timeline writes.
+/// One valid timeline export to seed the mutations: the executed
+/// hierarchical all-reduce at 16/4 as a comm graph, exactly what
+/// swcaffe_check --export-timeline writes.
 std::string seed_document() {
-  const std::vector<check::CommSchedule> phases =
-      check::hierarchical_allreduce_phases(16, 4);
+  const check::CommSchedule hier = check::comm_schedule(
+      topo::hierarchical_schedule({16, 4}, 16), "allreduce.hier");
   const check::TimelineGraph graph =
-      check::timeline_from_comm("fuzz-seed", phases);
+      check::timeline_from_comm("fuzz-seed", {hier});
   return check::timeline_to_json(graph);
 }
 

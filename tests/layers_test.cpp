@@ -2,12 +2,15 @@
 // gradient checks through single-layer nets.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "base/log.h"
 #include "base/rng.h"
 #include "core/layers.h"
 #include "core/net.h"
+#include "swdnn/conv_func.h"
 
 namespace swcaffe::core {
 namespace {
@@ -489,7 +492,18 @@ TEST(ConvLayerTest, AutoStrategyLocksPlanAtSetup) {
 }
 
 TEST(ConvLayerTest, ExplicitImplicitStrategiesAgreeInNet) {
-  std::vector<float> explicit_out;
+  // Both plans run one host kernel, so comparing their tops with each other
+  // could not fail. Each top must instead carry exactly the bits of the
+  // direct loops (dnn::conv_forward_implicit) over the layer's own input,
+  // weights and bias.
+  ConvGeom g;
+  g.batch = 2;
+  g.in_c = 8;
+  g.out_c = 6;
+  g.in_h = g.in_w = 7;
+  g.kernel = 3;
+  g.stride = 1;
+  g.pad = 1;
   for (ConvStrategy strategy :
        {ConvStrategy::kExplicit, ConvStrategy::kImplicit}) {
     NetSpec spec;
@@ -497,18 +511,25 @@ TEST(ConvLayerTest, ExplicitImplicitStrategiesAgreeInNet) {
     LayerSpec c = conv_spec("c", "x", "y", 6, 3, 1, 1);
     c.strategy = strategy;
     spec.layers.push_back(c);
-    Net net(spec, 19);  // same seed -> identical weights
+    Net net(spec, 19);
     base::Rng data_rng(20);
     randomize(*net.blob("x"), data_rng);
     net.forward();
-    if (strategy == ConvStrategy::kExplicit) {
-      explicit_out.assign(net.blob("y")->data().begin(),
-                          net.blob("y")->data().end());
-    } else {
-      ASSERT_EQ(net.blob("y")->count(), explicit_out.size());
-      for (std::size_t i = 0; i < explicit_out.size(); ++i) {
-        EXPECT_NEAR(net.blob("y")->data()[i], explicit_out[i], 1e-4f);
-      }
+    auto* conv = dynamic_cast<ConvLayer*>(net.layer("c"));
+    ASSERT_NE(conv, nullptr);
+    EXPECT_EQ(conv->uses_implicit_forward(),
+              strategy == ConvStrategy::kImplicit);
+    std::vector<float> want(net.blob("y")->count());
+    dnn::conv_forward_implicit(g, net.blob("x")->data().data(),
+                               conv->params()[0]->data().data(),
+                               conv->params()[1]->data().data(), want.data());
+    const auto y = net.blob("y")->data();
+    ASSERT_EQ(y.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(y[i]),
+                std::bit_cast<std::uint32_t>(want[i]))
+          << (strategy == ConvStrategy::kImplicit ? "implicit" : "explicit")
+          << " plan, element " << i;
     }
   }
 }

@@ -10,6 +10,7 @@
 #include "base/log.h"
 #include "base/rng.h"
 #include "check/rules.h"
+#include "collective_fixtures.h"
 #include "core/layers.h"
 #include "core/models.h"
 #include "fixtures.h"
@@ -490,7 +491,6 @@ TEST(FullStackTest, NodeRunnerSsgdMatchesBigBatchTraining) {
   base::Rng rng(22);
   std::vector<float> data, labels;
   topo::Topology topo{nodes, 256};
-  const topo::NetParams net_params = topo::sunway_network();
   const std::size_t n = reference.param_count();
   for (int it = 0; it < 3; ++it) {
     random_batch(data, labels, nodes * cgs * sub, dim, classes, rng);
@@ -504,7 +504,7 @@ TEST(FullStackTest, NodeRunnerSsgdMatchesBigBatchTraining) {
                                                  labels_per_node));
       runners[r]->master().pack_param_diffs(grads[r]);
     }
-    topo::allreduce_rhd(grads, topo, net_params, topo::Placement::kRoundRobin);
+    fixtures::run_allreduce(topo::AllreduceAlgo::kRhdRoundRobin, topo, grads);
     for (int r = 0; r < nodes; ++r) {
       for (auto& v : grads[r]) v /= nodes;  // SSGD average
       runners[r]->master().unpack_param_diffs(grads[r]);

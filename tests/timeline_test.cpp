@@ -17,11 +17,13 @@
 #include "check/timeline.h"
 #include "check/timeline_extract.h"
 #include "check/timeline_io.h"
+#include "collective_fixtures.h"
 #include "core/models.h"
 #include "hw/cost_model.h"
 #include "serve/batcher.h"
 #include "serve/engine.h"
 #include "serve/request.h"
+#include "topo/collective.h"
 #include "topo/overlap.h"
 #include "trace/json.h"
 
@@ -200,9 +202,11 @@ TEST(TimelineBroken, CrossPhaseCommCycleFiresCycle) {
 TEST(TimelineBroken, MixedMeshCompositionIsRefused) {
   // Mesh and cluster schedules match sends on different buses; no single
   // composition of them is defined.
-  EXPECT_THROW(timeline_from_comm("mixed", {mesh_gemm_schedule(hw::HwParams{}),
-                                            rhd_allreduce_schedule(4)}),
-               base::CheckError);
+  EXPECT_THROW(
+      timeline_from_comm(
+          "mixed", {mesh_gemm_schedule(hw::HwParams{}),
+                    comm_schedule(topo::rhd_schedule(4, 4), "allreduce.rhd")}),
+      base::CheckError);
 }
 
 TEST(TimelineBroken, UnorderedWritesFireRace) {
@@ -328,10 +332,8 @@ TEST(TimelineSilent, DefaultRetryLadderVerifiesSilent) {
 TEST(TimelineSilent, ComposedRhdPhasesVerifySilent) {
   // Four per-bucket RHD collectives run back to back — the composition the
   // bucketed trainer actually executes — must stay cycle- and race-free.
-  std::vector<CommSchedule> phases;
-  for (int bucket = 0; bucket < 4; ++bucket) {
-    phases.push_back(rhd_allreduce_schedule(8));
-  }
+  const std::vector<CommSchedule> phases(
+      4, comm_schedule(topo::rhd_schedule(8, 8), "allreduce.rhd"));
   EXPECT_TRUE(verify_timeline(timeline_from_comm("rhd-x4", phases)).ok());
 }
 
@@ -342,7 +344,7 @@ TEST(TimelineSilent, ComposedHierarchicalPhasesVerifySilent) {
   // cycle-free for engaging geometries, clean and ragged alike.
   for (auto [nodes, q] : {std::pair{16, 4}, {24, 8}, {1024, 256}}) {
     const std::vector<CommSchedule> phases =
-        hierarchical_allreduce_phases(nodes, q);
+        fixtures::hierarchical_phases(nodes, q);
     ASSERT_EQ(phases.size(), 3u) << nodes << "/" << q;
     const Report report =
         verify_timeline(timeline_from_comm("hier-comm", phases));
@@ -355,7 +357,7 @@ TEST(TimelineBroken, ReversedHierarchicalPhaseOrderFiresCycle) {
   // send-then-receive exchange into receive-then-send on BOTH partners of
   // each RHD step: mutual recv-before-send is a happens-before cycle the
   // composed timeline must reject (each op alone is still well-formed).
-  std::vector<CommSchedule> phases = hierarchical_allreduce_phases(16, 4);
+  std::vector<CommSchedule> phases = fixtures::hierarchical_phases(16, 4);
   std::reverse(phases[1].ops.begin(), phases[1].ops.end());
   const Report report =
       verify_timeline(timeline_from_comm("hier-reversed", phases));

@@ -9,7 +9,9 @@
 #include "base/log.h"
 #include "base/rng.h"
 #include "check/rules.h"
+#include "collective_fixtures.h"
 #include "topo/allreduce.h"
+#include "topo/collective.h"
 #include "topo/network_model.h"
 #include "topo/topology.h"
 #include "trace/tracer.h"
@@ -113,7 +115,10 @@ TEST_P(AllreduceCorrectnessTest, RhdComputesElementwiseSum) {
   Topology topo{p, 4};
   auto data = random_data(p, n, 1000 + p);
   const auto expected = column_sums(data);
-  allreduce_rhd(data, topo, sunway_network(), placement);
+  fixtures::run_allreduce(placement == Placement::kAdjacent
+                              ? AllreduceAlgo::kRhdAdjacent
+                              : AllreduceAlgo::kRhdRoundRobin,
+                          topo, data);
   for (int r = 0; r < p; ++r) {
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_NEAR(data[r][i], expected[i], 1e-4) << "rank " << r << " idx " << i;
@@ -145,7 +150,7 @@ TEST(AllreduceTest, RingComputesSumForAnyNodeCount) {
     Topology topo{p, 4};
     auto data = random_data(p, 37, 3000 + p);
     const auto expected = column_sums(data);
-    allreduce_ring(data, topo, sunway_network(), Placement::kAdjacent);
+    fixtures::run_allreduce(AllreduceAlgo::kRing, topo, data);
     for (int r = 0; r < p; ++r) {
       for (std::size_t i = 0; i < expected.size(); ++i) {
         ASSERT_NEAR(data[r][i], expected[i], 1e-4) << p << "/" << r;
@@ -158,7 +163,7 @@ TEST(AllreduceTest, ParamServerComputesSum) {
   Topology topo{5, 4};
   auto data = random_data(5, 16, 4);
   const auto expected = column_sums(data);
-  allreduce_param_server(data, topo, sunway_network(), 2);
+  fixtures::run_allreduce(AllreduceAlgo::kParamServer, topo, data);
   for (const auto& v : data) {
     for (std::size_t i = 0; i < expected.size(); ++i) {
       ASSERT_NEAR(v[i], expected[i], 1e-4);
@@ -216,15 +221,24 @@ TEST(AllreduceCostTest, GeneralCoefficientsMatchEquations) {
 }
 
 TEST(AllreduceCostTest, FunctionalAndAnalyticCostsAgree) {
+  // The schedule that sums the data has, counted at rank 0, exactly the
+  // terms the analytic price charges, under both placements.
   Topology topo{16, 4};
   auto data = random_data(16, 256, 5);
-  const auto functional =
-      allreduce_rhd(data, topo, sunway_network(), Placement::kRoundRobin);
-  const auto analytic =
-      cost_rhd(256 * 4, topo, sunway_network(), Placement::kRoundRobin);
-  EXPECT_DOUBLE_EQ(functional.seconds, analytic.seconds);
-  EXPECT_EQ(functional.alpha_terms, analytic.alpha_terms);
-  EXPECT_DOUBLE_EQ(functional.beta2_bytes, analytic.beta2_bytes);
+  const auto expected = column_sums(data);
+  fixtures::run_allreduce(AllreduceAlgo::kRhdRoundRobin, topo, data);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_NEAR(data[15][i], expected[i], 1e-4);
+  }
+  for (Placement placement : {Placement::kAdjacent, Placement::kRoundRobin}) {
+    const fixtures::TermCount counted =
+        fixtures::count_terms(rhd_schedule(16, 256), 0, topo, placement);
+    const auto analytic = cost_rhd(256 * 4, topo, sunway_network(), placement);
+    EXPECT_EQ(counted.alpha, analytic.alpha_terms);
+    EXPECT_EQ(counted.beta1, analytic.beta1_bytes);
+    EXPECT_EQ(counted.beta2, analytic.beta2_bytes);
+    EXPECT_EQ(counted.gamma, analytic.gamma_bytes);
+  }
 }
 
 TEST(AllreduceCostTest, RingPaysLinearLatency) {
@@ -260,7 +274,7 @@ TEST(AllreduceCostTest, SingleNodeIsFree) {
   EXPECT_EQ(c.seconds, 0.0);
   auto data = random_data(1, 8, 6);
   const auto expected = data[0];
-  allreduce_rhd(data, topo, sunway_network(), Placement::kAdjacent);
+  fixtures::run_allreduce(AllreduceAlgo::kRhdAdjacent, topo, data);
   EXPECT_EQ(data[0], expected);
 }
 
@@ -268,17 +282,19 @@ TEST(AllreduceCostTest, SingleNodeIsFree) {
 
 TEST(AllreduceEdgeTest, RingAndRhdAgreeAtOneNode) {
   // Both algorithms must degenerate to a free no-op on a single rank: no
-  // time, no traffic, payload untouched bit-for-bit.
+  // ops, no time, no traffic, payload untouched bit-for-bit.
   Topology topo{1, 256};
   const NetParams net = sunway_network();
-  using AllreduceFn = CostBreakdown (*)(std::vector<std::vector<float>>&,
-                                        const Topology&, const NetParams&,
-                                        Placement);
-  const AllreduceFn fns[] = {&allreduce_ring, &allreduce_rhd};
-  for (AllreduceFn fn : fns) {
+  using CostFn = CostBreakdown (*)(std::int64_t, const Topology&,
+                                   const NetParams&, Placement);
+  const std::pair<AllreduceAlgo, CostFn> algos[] = {
+      {AllreduceAlgo::kRing, &cost_ring}, {AllreduceAlgo::kRhdAdjacent, &cost_rhd}};
+  for (const auto& [algo, cost] : algos) {
     auto data = random_data(1, 23, 77);
     const auto expected = data[0];
-    const CostBreakdown c = fn(data, topo, net, Placement::kAdjacent);
+    EXPECT_TRUE(collective_schedule(algo, topo, 23).ops.empty());
+    fixtures::run_allreduce(algo, topo, data);
+    const CostBreakdown c = cost(23 * 4, topo, net, Placement::kAdjacent);
     EXPECT_EQ(c.seconds, 0.0);
     EXPECT_EQ(c.alpha_terms, 0);
     EXPECT_EQ(c.beta1_bytes + c.beta2_bytes + c.gamma_bytes, 0.0);
@@ -290,14 +306,13 @@ TEST(AllreduceEdgeTest, RingAndRhdAgreeAtOneNode) {
 TEST(AllreduceEdgeTest, RingAndRhdAgreeOnNonPowerOfTwoSums) {
   // The fold/unfold path of RHD and the linear ring must compute the same
   // elementwise sum for awkward rank counts (non-power-of-two, prime).
-  const NetParams net = sunway_network();
   for (int p : {3, 5, 6, 7, 12, 13}) {
     Topology topo{p, 4};
     auto ring_data = random_data(p, 41, 9000 + p);
     auto rhd_data = ring_data;  // identical inputs
     const auto expected = column_sums(ring_data);
-    allreduce_ring(ring_data, topo, net, Placement::kAdjacent);
-    allreduce_rhd(rhd_data, topo, net, Placement::kAdjacent);
+    fixtures::run_allreduce(AllreduceAlgo::kRing, topo, ring_data);
+    fixtures::run_allreduce(AllreduceAlgo::kRhdAdjacent, topo, rhd_data);
     for (int r = 0; r < p; ++r) {
       for (std::size_t i = 0; i < expected.size(); ++i) {
         ASSERT_NEAR(ring_data[r][i], expected[i], 1e-4) << "ring p=" << p;
